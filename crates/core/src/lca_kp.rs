@@ -8,9 +8,7 @@ use crate::LcaError;
 use lcakp_knapsack::iky::{EpsSequence, Epsilon, TildeInstance};
 use lcakp_knapsack::{Item, ItemId};
 use lcakp_oracle::{ItemOracle, Seed, WeightedSampler};
-use lcakp_reproducible::{
-    naive_quantile, rquantile, Domain, RQuantileConfig, ReproParams, SampleBudget,
-};
+use lcakp_reproducible::{Domain, QuantileScratch, ReproParams, SampleBudget};
 use rand::Rng;
 use std::fmt;
 
@@ -50,18 +48,23 @@ pub enum ReproProfile {
 /// Reusable per-worker sampling workspace for [`LcaKp`] queries.
 ///
 /// Algorithm 2 buffers two sample sets per query: the distinct large
-/// items of R (line 2) and the efficiency keys of Q (line 7). Both are
-/// dead once the query's [`SolutionRule`] exists, so a serving loop can
-/// hand the same scratch to every query and amortise the allocations to
-/// zero — the buffers keep their high-water capacity across queries.
-/// A fresh (empty) scratch gives byte-identical answers: the buffers
-/// are cleared at each use, so only capacity persists, never contents.
+/// items of R (line 2) and the efficiency keys of Q (line 7), plus the
+/// quantile workspace its t rQuantile calls share (lines 9–10): the
+/// sorted keys and the solver's position and batch-layout buffers. All
+/// are dead once the query's [`SolutionRule`] exists, so a serving loop
+/// can hand the same scratch to every query and amortise the
+/// allocations to zero — the buffers keep their high-water capacity
+/// across queries. A fresh (empty) scratch gives byte-identical
+/// answers: the buffers are cleared at each use, so only capacity
+/// persists, never contents.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     /// Distinct large items sampled from R (Algorithm 2 lines 1–3).
     large: Vec<(ItemId, Item)>,
     /// Small-item efficiency keys sampled from Q (lines 6–8).
     efficiencies: Vec<u128>,
+    /// The keys sorted once per query, and the rQuantile buffers.
+    quantile: QuantileScratch,
 }
 
 /// How `LCA-KP` reacts to transient oracle faults: each failing access
@@ -410,7 +413,7 @@ impl LcaKp {
                 seed,
                 residual as f64 / total_profit as f64,
                 retries,
-                &mut scratch.efficiencies,
+                scratch,
             )?
         } else {
             EpsSequence::empty()
@@ -441,7 +444,7 @@ impl LcaKp {
         seed: &Seed,
         residual_fraction: f64,
         retries: &mut u64,
-        efficiencies: &mut Vec<u128>,
+        scratch: &mut QueryScratch,
     ) -> Result<EpsSequence, LcaError>
     where
         O: ItemOracle + WeightedSampler,
@@ -466,22 +469,27 @@ impl LcaKp {
         // Sample Q, drop large items, keep efficiency keys (line 6–8).
         let norms = oracle.norms();
         let eps_sq = self.eps.squared();
-        efficiencies.clear();
-        efficiencies.reserve(a as usize);
+        scratch.efficiencies.clear();
+        scratch.efficiencies.reserve(a as usize);
         // lcakp-lint: loop-bound(eps-estimation-samples) reason="a = eps_estimation_samples_cap() at most; the symbolic name keeps the certificate readable across call sites"
         for _ in 0..a {
             let (id, item) = self.sample_with_retry(oracle, rng, retries)?;
             if norms.nprofit_of(item.profit) <= eps_sq {
-                efficiencies.push(norms.tie_broken_efficiency_key(id, item) as u128);
+                scratch
+                    .efficiencies
+                    .push(norms.tie_broken_efficiency_key(id, item) as u128);
             }
         }
-        if efficiencies.is_empty() {
+        if scratch.efficiencies.is_empty() {
             // Degenerate: no small/garbage mass was seen; proceed with no
             // thresholds (the paper's failure event, probability ≤ ε/3).
             return Ok(EpsSequence::empty());
         }
 
         // Lines 9–10: ẽ_k = rQuantile(E, 1 − kq), made non-increasing.
+        // Both engines read the one sort of E this query makes.
+        let domain = Domain::new(64).map_err(LcaError::from)?;
+        let mut sample = scratch.quantile.prepare(&scratch.efficiencies, domain)?;
         // lcakp-lint: allow(D011) reason="the t ≤ ⌈1/ε⌉ threshold keys are the query's output: EpsSequence must own them, so they cannot live in the scratch"
         let mut keys: Vec<u64> = Vec::with_capacity(t);
         let mut previous = u64::MAX;
@@ -489,19 +497,12 @@ impl LcaKp {
         for k in 1..=t {
             let p = (1.0 - k as f64 * q).max(0.0);
             let value = match self.engine {
-                QuantileEngine::Reproducible => {
-                    let config = RQuantileConfig {
-                        domain: Domain::new(64).map_err(LcaError::from)?,
-                        p,
-                        tau: params.tau.min(0.5),
-                    };
-                    rquantile(
-                        efficiencies,
-                        &config,
-                        &seed.derive("lca-kp/rquantile", k as u64),
-                    )?
-                }
-                QuantileEngine::Naive => naive_quantile(efficiencies, p),
+                QuantileEngine::Reproducible => sample.rquantile(
+                    p,
+                    params.tau.min(0.5),
+                    &seed.derive("lca-kp/rquantile", k as u64),
+                )?,
+                QuantileEngine::Naive => sample.naive_quantile(p),
             };
             // Saturating u128 → u64 without unwrap: quantiles above the
             // key domain clamp to the maximum key.

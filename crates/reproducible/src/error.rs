@@ -27,6 +27,11 @@ pub enum ReproducibleError {
         /// Offending value.
         value: f64,
     },
+    /// The sample is too long for the solver's `u32` position array.
+    SampleTooLarge {
+        /// Sample length.
+        len: usize,
+    },
 }
 
 impl fmt::Display for ReproducibleError {
@@ -41,6 +46,9 @@ impl fmt::Display for ReproducibleError {
             }
             ReproducibleError::InvalidParameter { name, value } => {
                 write!(f, "parameter {name} = {value} is out of range")
+            }
+            ReproducibleError::SampleTooLarge { len } => {
+                write!(f, "sample of {len} values exceeds the supported length")
             }
         }
     }
@@ -62,6 +70,7 @@ mod tests {
                 name: "tau",
                 value: -1.0,
             },
+            ReproducibleError::SampleTooLarge { len: 1 << 31 },
         ] {
             assert!(!err.to_string().is_empty());
         }

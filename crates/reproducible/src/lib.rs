@@ -25,6 +25,9 @@
 //! * [`rquantile`] — Algorithm 1 of the paper: reduce the `p`-quantile to
 //!   a median by padding the sample with `(1−p)·n` copies of `−∞` and
 //!   `p·n` copies of `+∞` over an extended domain.
+//! * [`QuantileScratch`] / [`PreparedSample`] — the same quantiles for a
+//!   caller asking several of one sample: it is validated and sorted
+//!   once, and every buffer lives in the reusable scratch.
 //! * [`naive_quantile`] — the non-reproducible empirical quantile, kept as
 //!   the ablation baseline (experiment E11: the paper's Section 4.1
 //!   observes that using it directly "will lead to inconsistent answers").
@@ -50,6 +53,8 @@ pub mod harness;
 mod naive;
 mod rmedian;
 mod rquantile;
+#[cfg(test)]
+mod tests;
 
 pub use budget::{ReproParams, SampleBudget};
 pub use domain::{log_star, log_star_of_bits, Domain};
@@ -57,4 +62,4 @@ pub use error::ReproducibleError;
 pub use lcakp_oracle::Seed;
 pub use naive::naive_quantile;
 pub use rmedian::{rmedian, RMedianConfig};
-pub use rquantile::{rquantile, RQuantileConfig};
+pub use rquantile::{rquantile, PreparedSample, QuantileScratch, RQuantileConfig};

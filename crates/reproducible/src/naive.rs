@@ -30,9 +30,14 @@ pub fn naive_quantile(sample: &[u128], p: f64) -> u128 {
         !sample.is_empty(),
         "naive_quantile requires a nonempty sample"
     );
-    // lcakp-lint: allow(D011) reason="sorting needs an owned copy; the sample is budget-bounded (at most n_rq keys per query)"
     let mut sorted = sample.to_vec();
     sorted.sort_unstable();
+    quantile_of_sorted(&sorted, p)
+}
+
+/// The value at rank `⌈p·n⌉` (1-based, clamped to the ends) of a
+/// nonempty sorted sample.
+pub(crate) fn quantile_of_sorted(sorted: &[u128], p: f64) -> u128 {
     let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }

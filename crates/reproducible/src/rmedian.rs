@@ -18,9 +18,11 @@
 //!    the shifted dyadic grid (`bitlen((a+s) ⊕ (b+s))`). These scales are
 //!    i.i.d. draws from a distribution over the domain `[0, d]` —
 //!    **exponentially smaller** than `[0, 2^d)` — and the grid scale `i*`
-//!    is chosen as a *recursive reproducible median* of them (plus a
-//!    safety margin). This `2^d → d` compression is what gives the
-//!    `log* |X|` recursion depth of [ILPS22].
+//!    is chosen as a *reproducible median* of them (plus a safety
+//!    margin). This `2^d → d` compression is what gives the `log* |X|`
+//!    recursion depth of [ILPS22]. With 32 batches the scale sample has
+//!    16 entries, below the 64-entry recursion threshold, so the scale
+//!    selection always lands in the base case (one level deep).
 //! 3. **Snap**: compute the empirical median `m̂` of the other half and
 //!    output the centre of the scale-`i*` shifted grid cell containing
 //!    `m̂`. Two runs share `s` and (with probability `1 − ρ_rec`) `i*`;
@@ -35,16 +37,41 @@
 //!    2.6 empirically; the random slack gives hysteresis so that two
 //!    runs rarely descend different amounts.
 //!
+//! # Implementation: one sort per sample, selection for the medians
+//!
+//! The answer depends on the sample through order statistics only, so
+//! the solver never sorts inside a call:
+//!
+//! * The sample is sorted once ([`crate::QuantileScratch::prepare`]),
+//!   and every rQuantile call over it reuses that sort. The sorted padded
+//!   multiset of Algorithm 1 is always `[0; lows] ++ (sorted + 1) ++
+//!   [max; highs]`, whatever the shuffle, so the base case and the
+//!   accuracy guard get their ranks by arithmetic on the one sorted
+//!   slice (`Padded`).
+//! * `m̂` and the 32 batch medians are single order statistics, taken
+//!   with `select_nth_unstable` — the same values a sort would give.
+//! * Halves and batches are fixed positions of the arrival order: odd
+//!   positions form half B, and even position `2i` joins batch
+//!   `i mod 32`. rQuantile shuffles a `u32` position array with the
+//!   exact draws a shuffle of the padded sample would make, and the
+//!   values are scattered straight into a `[half B | batch 0 … batch 31]`
+//!   buffer (`scatter`). No padded copy, sorted copy or half vector is
+//!   ever built; both buffers live in the caller's scratch.
+//!
 //! Reproducibility and accuracy are validated empirically by the tests
 //! below and experiment E7, as promised in `DESIGN.md`.
 
 use crate::domain::Domain;
+use crate::rquantile::QuantileScratch;
 use crate::ReproducibleError;
 use lcakp_oracle::Seed;
+use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Domain width at or below which the base case runs.
 const BASE_BITS: u32 = 8;
+/// Sample size below which the base case runs.
+const RECURSIVE_LEN: usize = 64;
 /// Extra bit-scales added on top of the recursively selected scale, to
 /// absorb the factor between batch-median and full-median fluctuations.
 const SCALE_MARGIN: u32 = 3;
@@ -52,6 +79,15 @@ const SCALE_MARGIN: u32 = 3;
 const BATCHES: usize = 32;
 /// Accuracy used for the recursive scale-selection call.
 const SCALE_TAU: f64 = 0.25;
+/// Upper quantile the scale selection aims for: a conservative, stable
+/// choice when the scale distribution is bimodal — larger cells only
+/// cost descent steps, which the accuracy guard bounds.
+const SCALE_TARGET: f64 = 0.75;
+
+// The scale sample is one entry per batch pair; it must stay below the
+// recursion threshold for the scale selection to be a base case. And a
+// recursive-size sample must give every batch at least one member.
+const _: () = assert!(BATCHES / 2 < RECURSIVE_LEN && BATCHES * 2 <= RECURSIVE_LEN);
 
 /// Configuration of a reproducible-median call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,94 +132,158 @@ pub fn rmedian(
     config: &RMedianConfig,
     seed: &Seed,
 ) -> Result<u128, ReproducibleError> {
-    if !(config.tau > 0.0 && config.tau <= 0.5) {
-        return Err(ReproducibleError::InvalidParameter {
-            name: "tau",
-            value: config.tau,
-        });
-    }
-    config.domain.check_sample(sample)?;
-    Ok(solve(
-        sample,
-        config.domain.bits(),
-        config.tau,
-        0.5,
-        seed,
-        0,
-    ))
+    // Parameter errors take precedence over sample errors.
+    check_tau(config.tau)?;
+    let mut scratch = QuantileScratch::default();
+    Ok(scratch
+        .prepare(sample, config.domain)?
+        .rmedian(config.tau, seed))
 }
 
-/// Recursive worker. `raw` keeps the caller's (i.i.d.) order: the batch
-/// statistic needs genuinely random batches, which a sorted sample would
-/// destroy. `target` is the quantile to aim for: 1/2 at the top level,
-/// an *upper* quantile for the internal scale selection (a conservative,
-/// stable choice when the scale distribution is bimodal — larger cells
-/// only cost descent steps, which the accuracy guard bounds).
-// lcakp-lint: recursion-bound(log* bits) reason="each recursive call compresses the domain from 2^bits values to bits+2 scale codes (Algorithm 1's 2^d -> d step), so the depth is the iterated logarithm of the domain size"
-fn solve(raw: &[u128], bits: u32, tau: f64, target: f64, seed: &Seed, depth: u64) -> u128 {
-    debug_assert!(!raw.is_empty());
-    // lcakp-lint: allow(D011) reason="sorting needs an owned copy; per-level samples shrink geometrically from the budget-bounded root sample (arena pooling tracked in ROADMAP)"
-    let mut sorted = raw.to_vec();
-    sorted.sort_unstable();
-    if bits <= BASE_BITS || raw.len() < 64 {
-        return base_case(&sorted, tau, target, seed, depth);
+/// Rejects `tau ∉ (0, 1/2]`.
+pub(crate) fn check_tau(tau: f64) -> Result<(), ReproducibleError> {
+    if tau > 0.0 && tau <= 0.5 {
+        Ok(())
+    } else {
+        Err(ReproducibleError::InvalidParameter {
+            name: "tau",
+            value: tau,
+        })
+    }
+}
+
+/// A sample in arrival order, padded as Algorithm 1 pads it: index `k`
+/// holds `sample[k] + offset` for `k < n`, then `lows` copies of 0, then
+/// `highs` copies of `high_code`. Its sorted order is always
+/// `[0; lows] ++ (sorted + offset) ++ [high_code; highs]`, so ranks and
+/// counts come from the one sorted slice by arithmetic.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Padded<'a> {
+    pub sample: &'a [u128],
+    pub sorted: &'a [u128],
+    pub offset: u128,
+    pub lows: usize,
+    pub highs: usize,
+    pub high_code: u128,
+}
+
+impl<'a> Padded<'a> {
+    /// The sample itself, unpadded (rMedian's input).
+    pub fn plain(sample: &'a [u128], sorted: &'a [u128]) -> Self {
+        Padded {
+            sample,
+            sorted,
+            offset: 0,
+            lows: 0,
+            highs: 0,
+            high_code: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.sample.len() + self.lows + self.highs
+    }
+
+    /// The value at arrival index `k`.
+    fn arrival(&self, k: usize) -> u128 {
+        match self.sample.get(k) {
+            Some(&value) => value + self.offset,
+            None if k < self.sample.len() + self.lows => 0,
+            None => self.high_code,
+        }
+    }
+
+    /// The value at 0-based rank `rank` of the sorted multiset.
+    fn at_rank(&self, rank: usize) -> u128 {
+        match rank.checked_sub(self.lows) {
+            None => 0,
+            Some(i) => self
+                .sorted
+                .get(i)
+                .map_or(self.high_code, |&value| value + self.offset),
+        }
+    }
+
+    /// `#{x ≤ v}` over the multiset.
+    fn count_le(&self, v: u128) -> usize {
+        let offset = self.offset;
+        let highs = if self.high_code <= v { self.highs } else { 0 };
+        self.lows + self.sorted.partition_point(|&x| x + offset <= v) + highs
+    }
+
+    /// `#{x < v}` over the multiset.
+    fn count_lt(&self, v: u128) -> usize {
+        let offset = self.offset;
+        let lows = if v > 0 { self.lows } else { 0 };
+        let highs = if self.high_code < v { self.highs } else { 0 };
+        lows + self.sorted.partition_point(|&x| x + offset < v) + highs
+    }
+}
+
+/// The solver's reusable buffers: the shuffled position array and the
+/// `[half B | batch 0 … batch 31]` layout the medians are selected from.
+#[derive(Debug, Default)]
+pub(crate) struct Buffers {
+    positions: Vec<u32>,
+    layout: Vec<u128>,
+}
+
+/// The reproducible median of `padded` over `[0, 2^bits)`. With
+/// `shuffle`, the arrival order is first permuted by exactly the draws
+/// `SliceRandom::shuffle` makes on a slice of `padded.len()` elements
+/// (rQuantile); without it the order is the sample's own (rMedian).
+pub(crate) fn solve(
+    padded: &Padded<'_>,
+    bits: u32,
+    tau: f64,
+    seed: &Seed,
+    shuffle: Option<&Seed>,
+    buffers: &mut Buffers,
+) -> u128 {
+    let len = padded.len();
+    debug_assert!(len > 0);
+    if bits <= BASE_BITS || len < RECURSIVE_LEN {
+        return padded.at_rank(base_rank(len, tau, 0.5, seed, 0));
     }
 
     let mask = (1u128 << bits) - 1;
-    let shift = seed.derive("rmedian/shift", depth).rng().gen::<u128>() & mask;
+    let shift = seed.derive("rmedian/shift", 0).rng().gen::<u128>() & mask;
 
-    // Halves (by parity of arrival index, so both are i.i.d. samples):
-    // A estimates the fluctuation scale, B the median position.
-    // lcakp-lint: allow(D011) reason="half-split of the budget-bounded sample (arena pooling tracked in ROADMAP)"
-    let half_a: Vec<u128> = raw.iter().copied().step_by(2).collect();
-    // lcakp-lint: allow(D011) reason="half-split of the budget-bounded sample (arena pooling tracked in ROADMAP)"
-    let mut half_b: Vec<u128> = raw.iter().copied().skip(1).step_by(2).collect();
-    if half_b.is_empty() {
-        half_b.clone_from(&half_a);
+    // Halves by parity of arrival index (so both are i.i.d. samples): A
+    // estimates the fluctuation scale, B the median position. Each batch
+    // is a strided subsequence of A, an i.i.d. subsample; the separation
+    // of two independent batch medians upper-bounds the fluctuation of
+    // the (larger) half-B median, conservatively.
+    let Buffers { positions, layout } = buffers;
+    let bounds = match shuffle {
+        Some(shuffle_seed) => {
+            let end = u32::try_from(len).expect("rquantile rejects padded lengths over u32::MAX");
+            positions.clear();
+            positions.extend(0..end);
+            positions.shuffle(&mut shuffle_seed.rng());
+            scatter(layout, len, |i| padded.arrival(positions[i] as usize))
+        }
+        None => scatter(layout, len, |i| padded.arrival(i)),
+    };
+    let m_hat = lower_median(&mut layout[..bounds[0]]);
+
+    // Batch medians of A → pairwise separation scales.
+    let mut medians = [0u128; BATCHES];
+    for (batch, median) in medians.iter_mut().enumerate() {
+        *median = lower_median(&mut layout[bounds[batch]..bounds[batch + 1]]);
     }
-    half_b.sort_unstable();
+    let mut scales = [0u128; BATCHES / 2];
+    for (scale, pair) in scales.iter_mut().zip(medians.chunks_exact(2)) {
+        *scale = u128::from(bit_length((pair[0] + shift) ^ (pair[1] + shift)));
+    }
 
-    // Batch medians of A → pairwise separation scales. Each batch is a
-    // strided subsequence of the raw order (an i.i.d. subsample); the
-    // separation of two independent batch medians upper-bounds the
-    // fluctuation of the (larger) half-B median, conservatively.
-    let batch_count = BATCHES.min(half_a.len()).max(2);
-    let batch_medians: Vec<u128> = (0..batch_count)
-        .map(|batch| {
-            let mut members: Vec<u128> = half_a
-                .iter()
-                .copied()
-                .skip(batch)
-                .step_by(batch_count)
-                // lcakp-lint: allow(D011) reason="one strided batch of half A; batches partition the budget-bounded sample"
-                .collect();
-            members.sort_unstable();
-            members[(members.len() - 1) / 2]
-        })
-        // lcakp-lint: allow(D011) reason="at most BATCHES batch medians - a compile-time constant"
-        .collect();
-    let scales: Vec<u128> = batch_medians
-        .chunks_exact(2)
-        .map(|pair| bit_length((pair[0] + shift) ^ (pair[1] + shift)) as u128)
-        // lcakp-lint: allow(D011) reason="at most BATCHES/2 separation scales - a compile-time constant"
-        .collect();
-    // lcakp-lint: allow(D011) reason="a one-element fallback vector for the degenerate empty-scales case"
-    let scales = if scales.is_empty() { vec![0] } else { scales };
-
-    // Recursive reproducible median over the scale domain [0, bits+1] ⊆
-    // [0, 2^7): the 2^d → d compression that yields log* depth.
-    let selected = solve(
-        &scales,
-        7,
-        SCALE_TAU,
-        0.75,
-        &seed.derive("rmedian/scale", depth),
-        depth + 1,
-    );
+    // Reproducible median over the scale domain [0, bits+1] ⊆ [0, 2^7):
+    // the 2^d → d compression. The 16 scales fall below the recursion
+    // threshold, so this is the base case one level down.
+    scales.sort_unstable();
+    let scale_seed = seed.derive("rmedian/scale", 0);
+    let selected = scales[base_rank(scales.len(), SCALE_TAU, SCALE_TARGET, &scale_seed, 1)];
     let mut scale = (u32::try_from(selected).unwrap_or(bits) + SCALE_MARGIN).min(bits);
-
-    // Empirical median of B.
-    let m_hat = half_b[(half_b.len() - 1) / 2];
 
     // Scale descent with a shared random slack θ ∈ [τ/4, τ/2]: accept the
     // snapped point only if it is an empirical θ-approximate median of
@@ -191,34 +291,67 @@ fn solve(raw: &[u128], bits: u32, tau: f64, target: f64, seed: &Seed, depth: u64
     // At scale 0 the output is m̂ itself, which always qualifies — so the
     // loop terminates and the accuracy contract holds by construction up
     // to the empirical-CDF error.
-    let gap_fraction: f64 = seed.derive("rmedian/gap", depth).rng().gen();
+    let gap_fraction: f64 = seed.derive("rmedian/gap", 0).rng().gen();
     let theta = tau * (0.25 + 0.25 * gap_fraction);
     loop {
         let out = snap(m_hat, shift, scale, mask);
-        if is_empirical_median(&sorted, out, theta) || scale == 0 {
+        if is_empirical_median(padded, out, theta) || scale == 0 {
             return out;
         }
         scale -= 1;
     }
 }
 
+/// Writes the arrival sequence `value_at(0..len)` into `layout` under
+/// the fixed position map σ: odd position `2i + 1` goes to half-B slot
+/// `i`, even position `2i` to slot `i / 32` of batch `i mod 32`.
+/// Returns the boundaries `[end of half B, end of batch 0, …, end of
+/// batch 31]`. Requires `len ≥ 64`, so every batch is nonempty.
+fn scatter(
+    layout: &mut Vec<u128>,
+    len: usize,
+    value_at: impl Fn(usize) -> u128,
+) -> [usize; BATCHES + 1] {
+    let half_b = len / 2;
+    let half_a = len - half_b;
+    let mut bounds = [half_b; BATCHES + 1];
+    for batch in 0..BATCHES {
+        bounds[batch + 1] = bounds[batch] + (half_a - batch).div_ceil(BATCHES);
+    }
+    layout.clear();
+    layout.resize(len, 0);
+    for i in 0..half_a {
+        layout[bounds[i % BATCHES] + i / BATCHES] = value_at(2 * i);
+    }
+    for (i, slot) in layout[..half_b].iter_mut().enumerate() {
+        *slot = value_at(2 * i + 1);
+    }
+    bounds
+}
+
+/// The lower median `sorted[(n − 1) / 2]` of a nonempty slice, by
+/// selection (the slice is reordered).
+fn lower_median(values: &mut [u128]) -> u128 {
+    *values.select_nth_unstable((values.len() - 1) / 2).1
+}
+
 /// Whether `v` is a θ-approximate median of the *empirical* distribution:
 /// `#{x ≤ v} ≥ (1/2 − θ)·n` and `#{x ≥ v} ≥ (1/2 − θ)·n`.
-fn is_empirical_median(sorted: &[u128], v: u128, theta: f64) -> bool {
-    let n = sorted.len() as f64;
-    let leq = sorted.partition_point(|&x| x <= v) as f64;
-    let geq = n - sorted.partition_point(|&x| x < v) as f64;
+fn is_empirical_median(padded: &Padded<'_>, v: u128, theta: f64) -> bool {
+    let n = padded.len() as f64;
+    let leq = padded.count_le(v) as f64;
+    let geq = n - padded.count_lt(v) as f64;
     let floor = (0.5 - theta) * n;
     leq >= floor && geq >= floor
 }
 
 /// Base case: random-threshold empirical quantile over a constant-size
-/// domain, centered on `target`.
-fn base_case(sorted: &[u128], tau: f64, target: f64, seed: &Seed, depth: u64) -> u128 {
+/// domain, centred on `target` — the 0-based rank to return from a
+/// sorted sample of `len` values.
+fn base_rank(len: usize, tau: f64, target: f64, seed: &Seed, depth: u64) -> usize {
     let fraction: f64 = seed.derive("rmedian/base-theta", depth).rng().gen();
     let theta = target + (fraction - 0.5) * tau;
-    let rank = ((theta * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    ((theta * len as f64).ceil() as usize).clamp(1, len) - 1
 }
 
 /// Centre of the scale-`i` shifted grid cell containing `value`, clamped
@@ -427,21 +560,73 @@ mod tests {
     #[test]
     fn empirical_median_check_is_two_sided() {
         let sorted = vec![1u128, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        assert!(is_empirical_median(&sorted, 5, 0.1));
-        assert!(is_empirical_median(&sorted, 6, 0.1));
-        assert!(!is_empirical_median(&sorted, 1, 0.1));
-        assert!(!is_empirical_median(&sorted, 10, 0.1));
+        let plain = Padded::plain(&sorted, &sorted);
+        assert!(is_empirical_median(&plain, 5, 0.1));
+        assert!(is_empirical_median(&plain, 6, 0.1));
+        assert!(!is_empirical_median(&plain, 1, 0.1));
+        assert!(!is_empirical_median(&plain, 10, 0.1));
         // A value past every sample fails the ≥ side even though the ≤
         // side is saturated.
-        assert!(!is_empirical_median(&sorted, 11, 0.1));
+        assert!(!is_empirical_median(&plain, 11, 0.1));
         // Heavy atom: the point just past the atom fails.
-        let atom = vec![5u128; 8]
-            .into_iter()
-            .chain([9, 10])
-            .collect::<Vec<_>>();
-        let mut atom = atom;
-        atom.sort_unstable();
+        let mut atom = vec![5u128; 8];
+        atom.extend([9, 10]);
+        let atom = Padded::plain(&atom, &atom);
         assert!(is_empirical_median(&atom, 5, 0.1));
         assert!(!is_empirical_median(&atom, 6, 0.1));
+    }
+
+    #[test]
+    fn padded_ranks_match_the_materialized_multiset() {
+        let sample = [7u128, 3, 3, 9];
+        let mut sorted = sample;
+        sorted.sort_unstable();
+        let padded = Padded {
+            sample: &sample,
+            sorted: &sorted,
+            offset: 1,
+            lows: 3,
+            highs: 2,
+            high_code: 31,
+        };
+        let mut materialized: Vec<u128> = (0..padded.len()).map(|k| padded.arrival(k)).collect();
+        assert_eq!(materialized, [8, 4, 4, 10, 0, 0, 0, 31, 31]);
+        materialized.sort_unstable();
+        for (rank, &value) in materialized.iter().enumerate() {
+            assert_eq!(padded.at_rank(rank), value);
+        }
+        for v in 0..=32u128 {
+            let le = materialized.iter().filter(|&&x| x <= v).count();
+            let lt = materialized.iter().filter(|&&x| x < v).count();
+            assert_eq!(
+                (padded.count_le(v), padded.count_lt(v)),
+                (le, lt),
+                "v = {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn scatter_follows_the_position_map() {
+        for len in [64usize, 65, 97, 200] {
+            let mut layout = Vec::new();
+            let bounds = scatter(&mut layout, len, |i| i as u128);
+            assert_eq!(bounds[0], len / 2);
+            assert_eq!(bounds[BATCHES], len);
+            // Half B holds the odd positions in order.
+            for (slot, &value) in layout[..bounds[0]].iter().enumerate() {
+                assert_eq!(value, 2 * slot as u128 + 1);
+            }
+            // Batch j holds even positions 2j, 2j + 64, … in order.
+            for batch in 0..BATCHES {
+                let expected: Vec<u128> = (0..len)
+                    .step_by(2)
+                    .skip(batch)
+                    .step_by(BATCHES)
+                    .map(|i| i as u128)
+                    .collect();
+                assert_eq!(layout[bounds[batch]..bounds[batch + 1]], expected[..]);
+            }
+        }
     }
 }

@@ -12,9 +12,14 @@
 //! `−∞` and `+∞` are encoded in the one-bit-extended domain
 //! ([`Domain::extended`]): real values shift up by one, `0` encodes `−∞`
 //! and the extended maximum encodes `+∞`; outputs are clamped back.
+//!
+//! The padding is never materialized: a [`PreparedSample`] sorts the
+//! sample once, and each quantile call describes the padded sample by
+//! its counts (see the `rmedian` module's implementation notes).
 
 use crate::domain::Domain;
-use crate::rmedian::{rmedian, RMedianConfig};
+use crate::naive::quantile_of_sorted;
+use crate::rmedian::{check_tau, solve, Buffers, Padded};
 use crate::ReproducibleError;
 use lcakp_oracle::Seed;
 
@@ -33,14 +38,20 @@ pub struct RQuantileConfig {
 
 /// Computes a reproducible τ-approximate `p`-quantile.
 ///
+/// One call is [`QuantileScratch::prepare`] followed by
+/// [`PreparedSample::rquantile`]; callers asking several quantiles of
+/// one sample should use those directly and sort it once.
+///
 /// # Errors
 ///
 /// * [`ReproducibleError::InvalidParameter`] if `p ∉ [0, 1]` or
 ///   `tau ∉ (0, 1/2]`;
 /// * [`ReproducibleError::EmptySample`] / `ValueOutOfDomain` as in
-///   [`rmedian`];
+///   [`rmedian`](crate::rmedian);
 /// * [`ReproducibleError::DomainTooWide`] if the extended domain exceeds
-///   the supported width.
+///   the supported width;
+/// * [`ReproducibleError::SampleTooLarge`] if the padded sample has more
+///   than `u32::MAX` values.
 ///
 /// ```
 /// use lcakp_reproducible::{rquantile, Domain, RQuantileConfig, Seed};
@@ -59,51 +70,129 @@ pub fn rquantile(
     config: &RQuantileConfig,
     seed: &Seed,
 ) -> Result<u128, ReproducibleError> {
-    if !(0.0..=1.0).contains(&config.p) {
+    // Parameter errors take precedence over sample errors.
+    check_quantile(config.p, config.tau)?;
+    let mut scratch = QuantileScratch::default();
+    scratch
+        .prepare(sample, config.domain)?
+        .rquantile(config.p, config.tau, seed)
+}
+
+/// Rejects `p ∉ [0, 1]`, then `tau ∉ (0, 1/2]`.
+fn check_quantile(p: f64, tau: f64) -> Result<(), ReproducibleError> {
+    if !(0.0..=1.0).contains(&p) {
         return Err(ReproducibleError::InvalidParameter {
             name: "p",
-            value: config.p,
+            value: p,
         });
     }
-    if !(config.tau > 0.0 && config.tau <= 0.5) {
-        return Err(ReproducibleError::InvalidParameter {
-            name: "tau",
-            value: config.tau,
-        });
+    check_tau(tau)
+}
+
+/// Reusable workspace for quantile calls: the sorted copy of the sample
+/// and the solver's position and batch-layout buffers. Only capacity
+/// persists between uses, never contents, so a reused scratch answers
+/// exactly as a fresh one.
+#[derive(Debug, Default)]
+pub struct QuantileScratch {
+    sorted: Vec<u128>,
+    buffers: Buffers,
+}
+
+impl QuantileScratch {
+    /// Validates `sample` against `domain` and sorts a copy of it once;
+    /// the returned [`PreparedSample`] answers any number of quantile
+    /// calls over it.
+    ///
+    /// # Errors
+    ///
+    /// [`ReproducibleError::EmptySample`] for an empty sample and
+    /// [`ReproducibleError::ValueOutOfDomain`] if a value exceeds the
+    /// domain.
+    pub fn prepare<'a>(
+        &'a mut self,
+        sample: &'a [u128],
+        domain: Domain,
+    ) -> Result<PreparedSample<'a>, ReproducibleError> {
+        domain.check_sample(sample)?;
+        self.sorted.clear();
+        self.sorted.extend_from_slice(sample);
+        self.sorted.sort_unstable();
+        Ok(PreparedSample {
+            sample,
+            sorted: &self.sorted,
+            domain,
+            buffers: &mut self.buffers,
+        })
     }
-    config.domain.check_sample(sample)?;
-    let extended = Domain::new(config.domain.bits() + 1)?;
+}
 
-    let n = sample.len();
-    // x = (1−p)·n lows, y = p·n highs (rounded so that x + y = n).
-    let lows = (((1.0 - config.p) * n as f64).round() as usize).min(n);
-    let highs = n - lows;
+/// A validated sample with its sorted copy, borrowed from a
+/// [`QuantileScratch`]. Its answers equal [`rquantile`] and
+/// [`naive_quantile`](crate::naive_quantile) on the same sample.
+#[derive(Debug)]
+pub struct PreparedSample<'a> {
+    sample: &'a [u128],
+    sorted: &'a [u128],
+    domain: Domain,
+    buffers: &'a mut Buffers,
+}
 
-    let low_code = 0u128;
-    let high_code = extended.max_value();
-    // lcakp-lint: allow(D011) reason="2n is the padded-sample size, bounded by the per-query sample budget n_rq"
-    let mut padded: Vec<u128> = Vec::with_capacity(2 * n);
-    padded.extend(sample.iter().map(|&value| value + 1));
-    padded.extend(std::iter::repeat_n(low_code, lows));
-    padded.extend(std::iter::repeat_n(high_code, highs));
-    // Permute with *shared* randomness: rmedian's internal index-based
-    // splits (halves, batches) assume exchangeable order, which a
-    // deterministic values-then-padding layout would break; a fixed
-    // seed-derived permutation restores it identically across runs.
-    {
-        use rand::seq::SliceRandom;
-        let mut shuffle_rng = seed.derive("rquantile/shuffle", 0).rng();
-        padded.shuffle(&mut shuffle_rng);
+impl PreparedSample<'_> {
+    /// The reproducible τ-approximate `p`-quantile, exactly as
+    /// [`rquantile`] computes it on this sample.
+    ///
+    /// # Errors
+    ///
+    /// As [`rquantile`], less the sample errors `prepare` already
+    /// reported.
+    pub fn rquantile(&mut self, p: f64, tau: f64, seed: &Seed) -> Result<u128, ReproducibleError> {
+        check_quantile(p, tau)?;
+        let extended = Domain::new(self.domain.bits() + 1)?;
+        let n = self.sample.len();
+        if u32::try_from(2 * n).is_err() {
+            return Err(ReproducibleError::SampleTooLarge { len: n });
+        }
+        // x = (1−p)·n lows, y = p·n highs (rounded so that x + y = n).
+        let lows = (((1.0 - p) * n as f64).round() as usize).min(n);
+        let padded = Padded {
+            sample: self.sample,
+            sorted: self.sorted,
+            offset: 1,
+            lows,
+            highs: n - lows,
+            high_code: extended.max_value(),
+        };
+        // Permute with *shared* randomness: rmedian's index-based splits
+        // (halves, batches) assume exchangeable order, which the
+        // values-then-padding layout would break; a fixed seed-derived
+        // permutation restores it identically across runs.
+        let out = solve(
+            &padded,
+            extended.bits(),
+            tau / 2.0,
+            &seed.derive("rquantile/median", 0),
+            Some(&seed.derive("rquantile/shuffle", 0)),
+            self.buffers,
+        );
+        // Decode: clamp −∞ to the domain minimum and +∞ (or any grid point
+        // above the real values) to the maximum.
+        Ok(out.saturating_sub(1).min(self.domain.max_value()))
     }
 
-    let median_config = RMedianConfig {
-        domain: extended,
-        tau: config.tau / 2.0,
-    };
-    let out = rmedian(&padded, &median_config, &seed.derive("rquantile/median", 0))?;
-    // Decode: clamp −∞ to the domain minimum and +∞ (or any grid point
-    // above the real values) to the maximum.
-    Ok(out.saturating_sub(1).min(config.domain.max_value()))
+    /// The non-reproducible empirical `p`-quantile, exactly as
+    /// [`naive_quantile`](crate::naive_quantile) computes it on this
+    /// sample, read off the sorted copy.
+    pub fn naive_quantile(&self, p: f64) -> u128 {
+        quantile_of_sorted(self.sorted, p)
+    }
+
+    /// The reproducible median of the sample in its own order, as
+    /// [`rmedian`](crate::rmedian) computes it (τ already validated).
+    pub(crate) fn rmedian(&mut self, tau: f64, seed: &Seed) -> u128 {
+        let padded = Padded::plain(self.sample, self.sorted);
+        solve(&padded, self.domain.bits(), tau, seed, None, self.buffers)
+    }
 }
 
 #[cfg(test)]
