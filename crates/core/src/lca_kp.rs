@@ -50,7 +50,7 @@ pub enum ReproProfile {
 /// Algorithm 2 buffers two sample sets per query: the distinct large
 /// items of R (line 2) and the efficiency keys of Q (line 7), plus the
 /// quantile workspace its t rQuantile calls share (lines 9–10): the
-/// sorted keys and the solver's position and batch-layout buffers. All
+/// sorted keys, their rank codes and the solver's code buffers. All
 /// are dead once the query's [`SolutionRule`] exists, so a serving loop
 /// can hand the same scratch to every query and amortise the
 /// allocations to zero — the buffers keep their high-water capacity
@@ -63,7 +63,7 @@ pub struct QueryScratch {
     large: Vec<(ItemId, Item)>,
     /// Small-item efficiency keys sampled from Q (lines 6–8).
     efficiencies: Vec<u128>,
-    /// The keys sorted once per query, and the rQuantile buffers.
+    /// The keys arg-sorted once per query, and the rQuantile buffers.
     quantile: QuantileScratch,
 }
 

@@ -27,7 +27,7 @@ pub enum ReproducibleError {
         /// Offending value.
         value: f64,
     },
-    /// The sample is too long for the solver's `u32` position array.
+    /// The sample is too long for the solver's `u32` rank codes.
     SampleTooLarge {
         /// Sample length.
         len: usize,

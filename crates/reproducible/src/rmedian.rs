@@ -37,26 +37,35 @@
 //!    2.6 empirically; the random slack gives hysteresis so that two
 //!    runs rarely descend different amounts.
 //!
-//! # Implementation: one sort per sample, selection for the medians
+//! # Implementation: one arg-sort per sample, `u32` rank codes
 //!
 //! The answer depends on the sample through order statistics only, so
-//! the solver never sorts inside a call:
+//! the solver never sorts inside a call and never moves a sample value:
 //!
-//! * The sample is sorted once ([`crate::QuantileScratch::prepare`]),
-//!   and every rQuantile call over it reuses that sort. The sorted padded
-//!   multiset of Algorithm 1 is always `[0; lows] ++ (sorted + 1) ++
-//!   [max; highs]`, whatever the shuffle, so the base case and the
-//!   accuracy guard get their ranks by arithmetic on the one sorted
-//!   slice (`Padded`).
-//! * `m̂` and the 32 batch medians are single order statistics, taken
-//!   with `select_nth_unstable` — the same values a sort would give.
+//! * The sample is arg-sorted once ([`crate::QuantileScratch::prepare`]):
+//!   one sort gives the sorted copy and, for each arrival, a *rank code*
+//!   in `1..=n` that is monotone in value, with `sorted[code − 1]` the
+//!   arrival's value. Every rQuantile call over the sample reuses both.
+//!   The sorted padded multiset of Algorithm 1 is always `[0; lows] ++
+//!   (sorted + 1) ++ [max; highs]`, whatever the shuffle, so the base
+//!   case and the accuracy guard get their ranks by arithmetic on the
+//!   one sorted slice (`Padded`).
+//! * A call fills one `u32` buffer with the padded sample's codes in
+//!   arrival order, `codes ++ [0; lows] ++ [n + 1; highs]`, and
+//!   rQuantile shuffles that buffer in place with the exact draws a
+//!   shuffle of the padded values would make — the same swaps give the
+//!   same permutation.
 //! * Halves and batches are fixed positions of the arrival order: odd
 //!   positions form half B, and even position `2i` joins batch
-//!   `i mod 32`. rQuantile shuffles a `u32` position array with the
-//!   exact draws a shuffle of the padded sample would make, and the
-//!   values are scattered straight into a `[half B | batch 0 … batch 31]`
-//!   buffer (`scatter`). No padded copy, sorted copy or half vector is
-//!   ever built; both buffers live in the caller's scratch.
+//!   `i mod 32`. A strided copy moves the codes into a `u32`
+//!   `[half B | batch 0 … batch 31]` layout (`scatter`).
+//! * `m̂` and the 32 batch medians are single order statistics, taken
+//!   with `select_nth_unstable` on the codes. Codes order as the values
+//!   do, so decoding the selected code (`0` → `−∞`, `n + 1` → `+∞`,
+//!   `c` → `sorted[c − 1] + offset`) gives the value a sort of the
+//!   padded values would give.
+//!
+//! Every buffer lives in the caller's scratch.
 //!
 //! Reproducibility and accuracy are validated empirically by the tests
 //! below and experiment E7, as promised in `DESIGN.md`.
@@ -113,7 +122,8 @@ pub struct RMedianConfig {
 /// * [`ReproducibleError::EmptySample`] for an empty sample;
 /// * [`ReproducibleError::ValueOutOfDomain`] if a sample value exceeds the
 ///   domain;
-/// * [`ReproducibleError::InvalidParameter`] if `tau ∉ (0, 1/2]`.
+/// * [`ReproducibleError::InvalidParameter`] if `tau ∉ (0, 1/2]`;
+/// * [`ReproducibleError::SampleTooLarge`] for `u32::MAX` values or more.
 ///
 /// ```
 /// use lcakp_reproducible::{rmedian, Domain, RMedianConfig, Seed};
@@ -152,44 +162,100 @@ pub(crate) fn check_tau(tau: f64) -> Result<(), ReproducibleError> {
     }
 }
 
+/// Bits of a tagged sort key that hold the arrival index.
+const TAG_BITS: u32 = u32::BITS;
+
+/// Arg-sorts `sample` once: writes its sorted copy into `sorted` and
+/// each arrival's rank code into `codes`. Codes lie in `1..=n`, are
+/// monotone in value, and `sorted[code − 1]` is the arrival's value.
+/// Requires `sample.len() ≤ u32::MAX` and values below `2^bits`.
+pub(crate) fn arg_sort(sample: &[u128], bits: u32, sorted: &mut Vec<u128>, codes: &mut Vec<u32>) {
+    sorted.clear();
+    codes.clear();
+    if bits <= u128::BITS - TAG_BITS {
+        // Tag each value with its arrival index in the low bits and sort
+        // by value alone (so heavy ties stay cheap to sort): a key's
+        // sorted position is its arrival's code, and tied arrivals split
+        // their codes in whatever order the sort leaves them.
+        sorted.extend(
+            sample
+                .iter()
+                .zip(0u32..)
+                .map(|(&value, k)| value << TAG_BITS | u128::from(k)),
+        );
+        sorted.sort_unstable_by_key(|&key| key >> TAG_BITS);
+        codes.resize(sample.len(), 0);
+        for (key, code) in sorted.iter_mut().zip(1u32..) {
+            codes[*key as u32 as usize] = code;
+            *key >>= TAG_BITS;
+        }
+    } else {
+        // Too wide to tag: tied arrivals share the code of their value's
+        // first sorted position.
+        sorted.extend_from_slice(sample);
+        sorted.sort_unstable();
+        codes.extend(
+            sample
+                .iter()
+                .map(|&value| sorted.partition_point(|&x| x < value) as u32 + 1),
+        );
+    }
+}
+
 /// A sample in arrival order, padded as Algorithm 1 pads it: index `k`
 /// holds `sample[k] + offset` for `k < n`, then `lows` copies of 0, then
-/// `highs` copies of `high_code`. Its sorted order is always
-/// `[0; lows] ++ (sorted + offset) ++ [high_code; highs]`, so ranks and
+/// `highs` copies of `high_value`. Its sorted order is always
+/// `[0; lows] ++ (sorted + offset) ++ [high_value; highs]`, so ranks and
 /// counts come from the one sorted slice by arithmetic.
+///
+/// The solver sees the padded sample as rank codes: arrival `k < n` is
+/// `codes[k]`, a low is 0 and a high is `n + 1`; [`Padded::value_of`]
+/// maps a code back to its value.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Padded<'a> {
-    pub sample: &'a [u128],
+    pub codes: &'a [u32],
     pub sorted: &'a [u128],
     pub offset: u128,
     pub lows: usize,
     pub highs: usize,
-    pub high_code: u128,
+    pub high_value: u128,
 }
 
 impl<'a> Padded<'a> {
     /// The sample itself, unpadded (rMedian's input).
-    pub fn plain(sample: &'a [u128], sorted: &'a [u128]) -> Self {
+    pub fn plain(codes: &'a [u32], sorted: &'a [u128]) -> Self {
         Padded {
-            sample,
+            codes,
             sorted,
             offset: 0,
             lows: 0,
             highs: 0,
-            high_code: 0,
+            high_value: 0,
         }
     }
 
     fn len(&self) -> usize {
-        self.sample.len() + self.lows + self.highs
+        self.sorted.len() + self.lows + self.highs
     }
 
-    /// The value at arrival index `k`.
-    fn arrival(&self, k: usize) -> u128 {
-        match self.sample.get(k) {
-            Some(&value) => value + self.offset,
-            None if k < self.sample.len() + self.lows => 0,
-            None => self.high_code,
+    /// Writes the padded sample's codes in arrival order into `arrivals`:
+    /// `codes ++ [0; lows] ++ [n + 1; highs]`.
+    fn fill(&self, arrivals: &mut Vec<u32>) {
+        let n = self.sorted.len();
+        let high =
+            u32::try_from(n + 1).expect("prepare rejects samples of u32::MAX values or more");
+        arrivals.clear();
+        arrivals.extend_from_slice(self.codes);
+        arrivals.resize(n + self.lows, 0);
+        arrivals.resize(self.len(), high);
+    }
+
+    /// The value of code `code`: 0 is a low, `n + 1` a high, and any
+    /// other code `c` the sample value `sorted[c − 1] + offset`.
+    fn value_of(&self, code: u32) -> u128 {
+        match (code as usize).checked_sub(1) {
+            None => 0,
+            Some(i) => self.at_rank(self.lows + i),
         }
     }
 
@@ -200,14 +266,14 @@ impl<'a> Padded<'a> {
             Some(i) => self
                 .sorted
                 .get(i)
-                .map_or(self.high_code, |&value| value + self.offset),
+                .map_or(self.high_value, |&value| value + self.offset),
         }
     }
 
     /// `#{x ≤ v}` over the multiset.
     fn count_le(&self, v: u128) -> usize {
         let offset = self.offset;
-        let highs = if self.high_code <= v { self.highs } else { 0 };
+        let highs = if self.high_value <= v { self.highs } else { 0 };
         self.lows + self.sorted.partition_point(|&x| x + offset <= v) + highs
     }
 
@@ -215,17 +281,18 @@ impl<'a> Padded<'a> {
     fn count_lt(&self, v: u128) -> usize {
         let offset = self.offset;
         let lows = if v > 0 { self.lows } else { 0 };
-        let highs = if self.high_code < v { self.highs } else { 0 };
+        let highs = if self.high_value < v { self.highs } else { 0 };
         lows + self.sorted.partition_point(|&x| x + offset < v) + highs
     }
 }
 
-/// The solver's reusable buffers: the shuffled position array and the
-/// `[half B | batch 0 … batch 31]` layout the medians are selected from.
+/// The solver's reusable buffers: the padded codes in (shuffled)
+/// arrival order and the `[half B | batch 0 … batch 31]` layout the
+/// medians are selected from.
 #[derive(Debug, Default)]
 pub(crate) struct Buffers {
-    positions: Vec<u32>,
-    layout: Vec<u128>,
+    arrivals: Vec<u32>,
+    layout: Vec<u32>,
 }
 
 /// The reproducible median of `padded` over `[0, 2^bits)`. With
@@ -254,23 +321,18 @@ pub(crate) fn solve(
     // is a strided subsequence of A, an i.i.d. subsample; the separation
     // of two independent batch medians upper-bounds the fluctuation of
     // the (larger) half-B median, conservatively.
-    let Buffers { positions, layout } = buffers;
-    let bounds = match shuffle {
-        Some(shuffle_seed) => {
-            let end = u32::try_from(len).expect("rquantile rejects padded lengths over u32::MAX");
-            positions.clear();
-            positions.extend(0..end);
-            positions.shuffle(&mut shuffle_seed.rng());
-            scatter(layout, len, |i| padded.arrival(positions[i] as usize))
-        }
-        None => scatter(layout, len, |i| padded.arrival(i)),
-    };
-    let m_hat = lower_median(&mut layout[..bounds[0]]);
+    let Buffers { arrivals, layout } = buffers;
+    padded.fill(arrivals);
+    if let Some(shuffle_seed) = shuffle {
+        arrivals.shuffle(&mut shuffle_seed.rng());
+    }
+    let bounds = scatter(layout, arrivals);
+    let m_hat = padded.value_of(lower_median(&mut layout[..bounds[0]]));
 
     // Batch medians of A → pairwise separation scales.
     let mut medians = [0u128; BATCHES];
     for (batch, median) in medians.iter_mut().enumerate() {
-        *median = lower_median(&mut layout[bounds[batch]..bounds[batch + 1]]);
+        *median = padded.value_of(lower_median(&mut layout[bounds[batch]..bounds[batch + 1]]));
     }
     let mut scales = [0u128; BATCHES / 2];
     for (scale, pair) in scales.iter_mut().zip(medians.chunks_exact(2)) {
@@ -302,16 +364,13 @@ pub(crate) fn solve(
     }
 }
 
-/// Writes the arrival sequence `value_at(0..len)` into `layout` under
-/// the fixed position map σ: odd position `2i + 1` goes to half-B slot
-/// `i`, even position `2i` to slot `i / 32` of batch `i mod 32`.
-/// Returns the boundaries `[end of half B, end of batch 0, …, end of
-/// batch 31]`. Requires `len ≥ 64`, so every batch is nonempty.
-fn scatter(
-    layout: &mut Vec<u128>,
-    len: usize,
-    value_at: impl Fn(usize) -> u128,
-) -> [usize; BATCHES + 1] {
+/// Copies the arrival sequence `arrivals` into `layout` under the fixed
+/// position map σ: odd position `2i + 1` goes to half-B slot `i`, even
+/// position `2i` to slot `i / 32` of batch `i mod 32`. Returns the
+/// boundaries `[end of half B, end of batch 0, …, end of batch 31]`.
+/// Requires at least 64 arrivals, so every batch is nonempty.
+fn scatter(layout: &mut Vec<u32>, arrivals: &[u32]) -> [usize; BATCHES + 1] {
+    let len = arrivals.len();
     let half_b = len / 2;
     let half_a = len - half_b;
     let mut bounds = [half_b; BATCHES + 1];
@@ -319,20 +378,18 @@ fn scatter(
         bounds[batch + 1] = bounds[batch] + (half_a - batch).div_ceil(BATCHES);
     }
     layout.clear();
-    layout.resize(len, 0);
-    for i in 0..half_a {
-        layout[bounds[i % BATCHES] + i / BATCHES] = value_at(2 * i);
+    layout.extend(arrivals[1..].iter().step_by(2));
+    for batch in 0..BATCHES {
+        layout.extend(arrivals[2 * batch..].iter().step_by(2 * BATCHES));
     }
-    for (i, slot) in layout[..half_b].iter_mut().enumerate() {
-        *slot = value_at(2 * i + 1);
-    }
+    debug_assert_eq!(layout.len(), len);
     bounds
 }
 
 /// The lower median `sorted[(n − 1) / 2]` of a nonempty slice, by
 /// selection (the slice is reordered).
-fn lower_median(values: &mut [u128]) -> u128 {
-    *values.select_nth_unstable((values.len() - 1) / 2).1
+fn lower_median(codes: &mut [u32]) -> u32 {
+    *codes.select_nth_unstable((codes.len() - 1) / 2).1
 }
 
 /// Whether `v` is a θ-approximate median of the *empirical* distribution:
@@ -557,10 +614,17 @@ mod tests {
         assert!(out <= mask);
     }
 
+    /// The sorted copy and rank codes `prepare` would build.
+    fn arg_sorted(sample: &[u128], bits: u32) -> (Vec<u128>, Vec<u32>) {
+        let (mut sorted, mut codes) = (Vec::new(), Vec::new());
+        arg_sort(sample, bits, &mut sorted, &mut codes);
+        (sorted, codes)
+    }
+
     #[test]
     fn empirical_median_check_is_two_sided() {
-        let sorted = vec![1u128, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        let plain = Padded::plain(&sorted, &sorted);
+        let (sorted, codes) = arg_sorted(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10], 8);
+        let plain = Padded::plain(&codes, &sorted);
         assert!(is_empirical_median(&plain, 5, 0.1));
         assert!(is_empirical_median(&plain, 6, 0.1));
         assert!(!is_empirical_median(&plain, 1, 0.1));
@@ -571,7 +635,8 @@ mod tests {
         // Heavy atom: the point just past the atom fails.
         let mut atom = vec![5u128; 8];
         atom.extend([9, 10]);
-        let atom = Padded::plain(&atom, &atom);
+        let (sorted, codes) = arg_sorted(&atom, 8);
+        let atom = Padded::plain(&codes, &sorted);
         assert!(is_empirical_median(&atom, 5, 0.1));
         assert!(!is_empirical_median(&atom, 6, 0.1));
     }
@@ -579,17 +644,19 @@ mod tests {
     #[test]
     fn padded_ranks_match_the_materialized_multiset() {
         let sample = [7u128, 3, 3, 9];
-        let mut sorted = sample;
-        sorted.sort_unstable();
+        let (sorted, codes) = arg_sorted(&sample, 8);
         let padded = Padded {
-            sample: &sample,
+            codes: &codes,
             sorted: &sorted,
             offset: 1,
             lows: 3,
             highs: 2,
-            high_code: 31,
+            high_value: 31,
         };
-        let mut materialized: Vec<u128> = (0..padded.len()).map(|k| padded.arrival(k)).collect();
+        let mut arrivals = Vec::new();
+        padded.fill(&mut arrivals);
+        assert_eq!(arrivals[4..], [0, 0, 0, 5, 5]);
+        let mut materialized: Vec<u128> = arrivals.iter().map(|&c| padded.value_of(c)).collect();
         assert_eq!(materialized, [8, 4, 4, 10, 0, 0, 0, 31, 31]);
         materialized.sort_unstable();
         for (rank, &value) in materialized.iter().enumerate() {
@@ -607,23 +674,64 @@ mod tests {
     }
 
     #[test]
+    fn rank_codes_decode_to_every_rank() {
+        // Heavy ties and distinct values, in the tagged (≤ 96 bits) and
+        // the shared-code arg-sort, with lows from n (p = 0) down to 0
+        // (p = 1).
+        let mut rng = ChaCha12Rng::seed_from_u64(17);
+        let n = 200;
+        for (bits, range) in [(64, 6u128), (64, 1 << 40), (110, 6), (110, 1 << 100)] {
+            let sample = uniform_sample(&mut rng, n, range);
+            let (sorted, codes) = arg_sorted(&sample, bits);
+            let plain = Padded::plain(&codes, &sorted);
+            for (&code, &value) in codes.iter().zip(&sample) {
+                assert_eq!(plain.value_of(code), value, "bits = {bits}");
+            }
+            for lows in [n, 2 * n / 3, n / 2, 1, 0] {
+                let padded = Padded {
+                    codes: &codes,
+                    sorted: &sorted,
+                    offset: 1,
+                    lows,
+                    highs: n - lows,
+                    high_value: (1u128 << (bits + 1)) - 1,
+                };
+                let mut arrivals = Vec::new();
+                padded.fill(&mut arrivals);
+                assert_eq!(arrivals.len(), 2 * n);
+                arrivals.sort_unstable();
+                for (rank, &code) in arrivals.iter().enumerate() {
+                    assert_eq!(
+                        padded.value_of(code),
+                        padded.at_rank(rank),
+                        "bits = {bits}, lows = {lows}, rank = {rank}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn scatter_follows_the_position_map() {
-        for len in [64usize, 65, 97, 200] {
+        for len in [64u32, 65, 97, 200] {
+            let arrivals: Vec<u32> = (0..len).collect();
             let mut layout = Vec::new();
-            let bounds = scatter(&mut layout, len, |i| i as u128);
+            let bounds = scatter(&mut layout, &arrivals);
+            let len = len as usize;
             assert_eq!(bounds[0], len / 2);
             assert_eq!(bounds[BATCHES], len);
             // Half B holds the odd positions in order.
             for (slot, &value) in layout[..bounds[0]].iter().enumerate() {
-                assert_eq!(value, 2 * slot as u128 + 1);
+                assert_eq!(value as usize, 2 * slot + 1);
             }
             // Batch j holds even positions 2j, 2j + 64, … in order.
             for batch in 0..BATCHES {
-                let expected: Vec<u128> = (0..len)
+                let expected: Vec<u32> = arrivals
+                    .iter()
+                    .copied()
                     .step_by(2)
                     .skip(batch)
                     .step_by(BATCHES)
-                    .map(|i| i as u128)
                     .collect();
                 assert_eq!(layout[bounds[batch]..bounds[batch + 1]], expected[..]);
             }

@@ -13,13 +13,14 @@
 //! ([`Domain::extended`]): real values shift up by one, `0` encodes `−∞`
 //! and the extended maximum encodes `+∞`; outputs are clamped back.
 //!
-//! The padding is never materialized: a [`PreparedSample`] sorts the
-//! sample once, and each quantile call describes the padded sample by
-//! its counts (see the `rmedian` module's implementation notes).
+//! The padding is never materialized as values: a [`PreparedSample`]
+//! arg-sorts the sample once, and each quantile call describes the padded
+//! sample by its counts and rank codes (see the `rmedian` module's
+//! implementation notes).
 
 use crate::domain::Domain;
 use crate::naive::quantile_of_sorted;
-use crate::rmedian::{check_tau, solve, Buffers, Padded};
+use crate::rmedian::{arg_sort, check_tau, solve, Buffers, Padded};
 use crate::ReproducibleError;
 use lcakp_oracle::Seed;
 
@@ -89,37 +90,41 @@ fn check_quantile(p: f64, tau: f64) -> Result<(), ReproducibleError> {
     check_tau(tau)
 }
 
-/// Reusable workspace for quantile calls: the sorted copy of the sample
-/// and the solver's position and batch-layout buffers. Only capacity
-/// persists between uses, never contents, so a reused scratch answers
-/// exactly as a fresh one.
+/// Reusable workspace for quantile calls: the sorted copy of the sample,
+/// its per-arrival rank codes, and the solver's arrival and batch-layout
+/// buffers. Only capacity persists between uses, never contents, so a
+/// reused scratch answers exactly as a fresh one.
 #[derive(Debug, Default)]
 pub struct QuantileScratch {
     sorted: Vec<u128>,
+    codes: Vec<u32>,
     buffers: Buffers,
 }
 
 impl QuantileScratch {
-    /// Validates `sample` against `domain` and sorts a copy of it once;
-    /// the returned [`PreparedSample`] answers any number of quantile
-    /// calls over it.
+    /// Validates `sample` against `domain` and arg-sorts it once; the
+    /// returned [`PreparedSample`] answers any number of quantile calls
+    /// over it.
     ///
     /// # Errors
     ///
-    /// [`ReproducibleError::EmptySample`] for an empty sample and
+    /// [`ReproducibleError::EmptySample`] for an empty sample,
     /// [`ReproducibleError::ValueOutOfDomain`] if a value exceeds the
-    /// domain.
+    /// domain, and [`ReproducibleError::SampleTooLarge`] for `u32::MAX`
+    /// values or more.
     pub fn prepare<'a>(
         &'a mut self,
         sample: &'a [u128],
         domain: Domain,
     ) -> Result<PreparedSample<'a>, ReproducibleError> {
         domain.check_sample(sample)?;
-        self.sorted.clear();
-        self.sorted.extend_from_slice(sample);
-        self.sorted.sort_unstable();
+        // Codes run to n + 1, the code of +∞.
+        if sample.len() >= u32::MAX as usize {
+            return Err(ReproducibleError::SampleTooLarge { len: sample.len() });
+        }
+        arg_sort(sample, domain.bits(), &mut self.sorted, &mut self.codes);
         Ok(PreparedSample {
-            sample,
+            codes: &self.codes,
             sorted: &self.sorted,
             domain,
             buffers: &mut self.buffers,
@@ -127,12 +132,12 @@ impl QuantileScratch {
     }
 }
 
-/// A validated sample with its sorted copy, borrowed from a
-/// [`QuantileScratch`]. Its answers equal [`rquantile`] and
+/// A validated sample with its sorted copy and rank codes, borrowed from
+/// a [`QuantileScratch`]. Its answers equal [`rquantile`] and
 /// [`naive_quantile`](crate::naive_quantile) on the same sample.
 #[derive(Debug)]
 pub struct PreparedSample<'a> {
-    sample: &'a [u128],
+    codes: &'a [u32],
     sorted: &'a [u128],
     domain: Domain,
     buffers: &'a mut Buffers,
@@ -149,19 +154,19 @@ impl PreparedSample<'_> {
     pub fn rquantile(&mut self, p: f64, tau: f64, seed: &Seed) -> Result<u128, ReproducibleError> {
         check_quantile(p, tau)?;
         let extended = Domain::new(self.domain.bits() + 1)?;
-        let n = self.sample.len();
+        let n = self.sorted.len();
         if u32::try_from(2 * n).is_err() {
             return Err(ReproducibleError::SampleTooLarge { len: n });
         }
         // x = (1−p)·n lows, y = p·n highs (rounded so that x + y = n).
         let lows = (((1.0 - p) * n as f64).round() as usize).min(n);
         let padded = Padded {
-            sample: self.sample,
+            codes: self.codes,
             sorted: self.sorted,
             offset: 1,
             lows,
             highs: n - lows,
-            high_code: extended.max_value(),
+            high_value: extended.max_value(),
         };
         // Permute with *shared* randomness: rmedian's index-based splits
         // (halves, batches) assume exchangeable order, which the
@@ -190,7 +195,7 @@ impl PreparedSample<'_> {
     /// The reproducible median of the sample in its own order, as
     /// [`rmedian`](crate::rmedian) computes it (τ already validated).
     pub(crate) fn rmedian(&mut self, tau: f64, seed: &Seed) -> u128 {
-        let padded = Padded::plain(self.sample, self.sorted);
+        let padded = Padded::plain(self.codes, self.sorted);
         solve(&padded, self.domain.bits(), tau, seed, None, self.buffers)
     }
 }

@@ -11,14 +11,21 @@ use rand_chacha::ChaCha12Rng;
 /// The smallest τ `LCA-KP` uses: ε²/5 at ε = 1/6.
 const TAU_MIN: f64 = 1.0 / 180.0;
 
-/// A sample of `len` values in `[0, 2^bits)` with one of five shapes:
+/// A sample of `len` values in `[0, 2^bits)` with one of six shapes:
 /// uniform over the domain, a tiny range, a point mass, a heavy atom
-/// over a uniform band, and two points.
+/// over a uniform band, two points, and k ∈ [2, 256] uniform atoms (the
+/// `LCA-KP` regime: a few hundred tie-broken keys behind every sample).
 fn sample(shape: u8, len: usize, bits: u32, seed: u64) -> Vec<u128> {
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
     let max = Domain::new(bits).unwrap().max_value();
     let base = rng.gen_range(0..=max);
     let other = rng.gen_range(0..=max);
+    let atoms: Vec<u128> = match shape {
+        5 => (0..rng.gen_range(2..=256))
+            .map(|_| rng.gen_range(0..=max))
+            .collect(),
+        _ => Vec::new(),
+    };
     (0..len)
         .map(|_| match shape {
             0 => rng.gen_range(0..=max),
@@ -26,8 +33,9 @@ fn sample(shape: u8, len: usize, bits: u32, seed: u64) -> Vec<u128> {
             2 => base,
             3 if rng.gen_bool(0.4) => base,
             3 => rng.gen_range(0..=max),
-            _ if rng.gen_bool(0.5) => base,
-            _ => other,
+            4 if rng.gen_bool(0.5) => base,
+            4 => other,
+            _ => atoms[rng.gen_range(0..atoms.len())],
         })
         .collect()
 }
@@ -69,7 +77,7 @@ proptest! {
     #[test]
     fn rquantile_matches_the_reference(
         class in 0u8..4,
-        shape in 0u8..5,
+        shape in 0u8..6,
         bits in 1u32..=64,
         picks in (0u32..u32::MAX, 0u32..u32::MAX, 0u32..u32::MAX),
         seeds in (0u64..u64::MAX, 0u64..u64::MAX),
@@ -98,7 +106,7 @@ proptest! {
     #[test]
     fn rmedian_matches_the_reference(
         class in 0u8..4,
-        shape in 0u8..5,
+        shape in 0u8..6,
         bits in 1u32..=64,
         picks in (0u32..u32::MAX, 0u32..u32::MAX),
         seeds in (0u64..u64::MAX, 0u64..u64::MAX),
@@ -142,6 +150,38 @@ fn lca_kp_threshold_pattern_matches_the_reference() {
             prepared.naive_quantile(config.p),
             crate::naive_quantile(&values, config.p)
         );
+    }
+}
+
+/// Domains too wide for tagged sort keys (over 96 bits), where tied
+/// arrivals share a rank code, equal the reference too.
+#[test]
+fn wide_domains_match_the_reference() {
+    for (case, bits) in (0u64..).zip([97u32, 110, 125]) {
+        let domain = Domain::new(bits).unwrap();
+        for shape in 0..6 {
+            let seed = case * 6 + u64::from(shape);
+            let values = sample(shape, length(2, seed as u32 * 977), bits, seed);
+            let call_seed = Seed::from_entropy_u64(seed);
+            for p in [0.0, 0.3, 1.0] {
+                let config = RQuantileConfig {
+                    domain,
+                    p,
+                    tau: 0.05,
+                };
+                assert_eq!(
+                    rquantile(&values, &config, &call_seed),
+                    reference::rquantile(&values, &config, &call_seed),
+                    "bits {bits}, shape {shape}, p {p}"
+                );
+            }
+            let config = RMedianConfig { domain, tau: 0.05 };
+            assert_eq!(
+                rmedian(&values, &config, &call_seed),
+                reference::rmedian(&values, &config, &call_seed),
+                "bits {bits}, shape {shape}"
+            );
+        }
     }
 }
 
