@@ -1,5 +1,4 @@
 use crate::{Instance, ItemId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A subset of an instance's items, stored as a bitset.
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert_eq!(sel.count(), 2);
 /// assert_eq!(sel.ones().collect::<Vec<_>>(), vec![ItemId(1), ItemId(3)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Selection {
     bits: Vec<u64>,
     len: usize,
@@ -212,7 +211,7 @@ impl fmt::Display for Selection {
 }
 
 /// Summary statistics of a [`Selection`] measured against an instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolutionAudit {
     /// Total profit.
     pub value: u64,
@@ -238,7 +237,7 @@ impl fmt::Display for SolutionAudit {
 
 /// The result of an (exact or approximate) solver: the achieved value and
 /// the selection realizing it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolveOutcome {
     /// Total profit of `selection`.
     pub value: u64,

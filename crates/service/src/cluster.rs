@@ -81,20 +81,19 @@ use crate::admission::{
     AdaptiveAdmission, AdmissionConfig, AdmissionDecision, AdmissionDiscipline, AdmissionState,
     ShedReason,
 };
-use crate::breaker::CircuitBreaker;
-use crate::clock::{TickClock, VirtualClock};
+use crate::clock::VirtualClock;
 use crate::journal::{DecodeMode, Journal, JournalRecord};
 use crate::rebalance::{RebalanceAudit, RebalanceConfig, RebalanceController, RebalanceDiscipline};
 use crate::ring::{NodeId, ReplicaSet, Ring, RingEpoch, RingView};
 use crate::service::{
-    serve_batch_cached_rule, serve_one, Answered, Disposition, FaultSchedule, PendingStep,
-    QueryOutcome, ServiceConfig, SharedCtx, WorkerCore, FAULT_DOMAIN,
+    admit, run_worker, serve_batch_cached_rule, Answered, Disposition, FaultSchedule, PendingStep,
+    QueryOutcome, ServiceConfig, ShardCore, SharedCtx, WorkerCore,
 };
-use crate::slo::{LatencyHistogram, LoadSignal, SignalWindow, SloReport};
-use crate::traffic::{Arrival, TrafficDisposition, TrafficOutcome};
-use lcakp_core::{LcaError, LcaKp, QueryScratch};
+use crate::slo::{LatencyHistogram, LoadSignal, SloReport};
+use crate::traffic::{Arrival, Backlog, TrafficDisposition, TrafficOutcome};
+use lcakp_core::{LcaError, LcaKp};
 use lcakp_knapsack::ItemId;
-use lcakp_oracle::{BudgetedOracle, FaultPlan, FaultyOracle, ItemOracle, Seed, WeightedSampler};
+use lcakp_oracle::{ItemOracle, Seed, WeightedSampler};
 use std::fmt;
 
 /// How the cluster router resolves shard ownership after a node loss.
@@ -411,30 +410,6 @@ fn flatten_node_events(
     }
     ops.sort_by_key(|&(at_tick, _)| at_tick);
     (partitions, pending_cuts, ops)
-}
-
-/// Shards queries over `index % shards` into bounded per-shard queues;
-/// overflow sheds `QueueFull` at admission, before anything runs.
-fn admit(
-    queries: &[ItemId],
-    shards: usize,
-    queue_depth: usize,
-) -> (Vec<Vec<(usize, ItemId)>>, Vec<QueryOutcome>) {
-    let mut shard_queries: Vec<Vec<(usize, ItemId)>> = vec![Vec::new(); shards];
-    let mut shed = Vec::new();
-    for (index, &item) in queries.iter().enumerate() {
-        let shard = crate::traffic::shard_of(index, shards);
-        if shard_queries[shard].len() < queue_depth {
-            shard_queries[shard].push((index, item));
-        } else {
-            shed.push(QueryOutcome {
-                index,
-                item,
-                disposition: Disposition::Shed(ShedReason::QueueFull { depth: queue_depth }),
-            });
-        }
-    }
-    (shard_queries, shed)
 }
 
 /// The single-threaded cluster scheduler state.
@@ -863,12 +838,8 @@ where
         cached: cached.as_ref(),
     };
     let (mut shard_queries, _) = admit(queries, config.shards, config.base.queue_depth);
-    let mut core = WorkerCore::new(shard, std::mem::take(&mut shard_queries[shard]), &shared);
-    while !core.finished() {
-        let step = core.serve_step(&shared)?;
-        core.commit(step);
-    }
-    Ok(core.into_output(Vec::new()).outcomes)
+    let queries = std::mem::take(&mut shard_queries[shard]);
+    Ok(run_worker(shard, queries, &shared)?.outcomes)
 }
 
 /// Tuning of the traffic-driven cluster runtime (experiment E18).
@@ -1054,17 +1025,6 @@ impl ClusterTrafficReport {
     }
 }
 
-/// One shard's placement-independent serving core. Only the admitted
-/// per-shard subsequence drives this state, so answers are
-/// byte-identical no matter which node hosts the shard — the property
-/// [`replay_shard_traffic`] certifies.
-struct ShardTrafficCore<'a, O> {
-    clock: TickClock,
-    breaker: CircuitBreaker,
-    budgeted: BudgetedOracle<'a, O>,
-    scratch: QueryScratch,
-}
-
 /// One node's queueing and control state. This is the placement-
 /// *dependent* half: the busy horizon and in-flight completions move
 /// with the shards routed here, which is exactly what rebalancing
@@ -1073,12 +1033,9 @@ struct NodeRt {
     alive: bool,
     /// Completion tick of the last query this node finished serving.
     horizon: u64,
-    /// `(completion_tick, deadline_met, shard)` of every in-flight or
-    /// finished query routed here, in completion order.
-    completions: Vec<(u64, bool, usize)>,
-    /// How many `completions` entries the window has absorbed.
-    drained: usize,
-    window: SignalWindow,
+    /// Every query routed here, until its completion folds into the
+    /// node's signal window.
+    backlog: Backlog,
     controller: AdaptiveAdmission,
     journal: Journal,
     /// Journal length before the most recent append (for crash-time
@@ -1100,9 +1057,7 @@ impl NodeRt {
         NodeRt {
             alive: true,
             horizon: 0,
-            completions: Vec::new(),
-            drained: 0,
-            window: SignalWindow::new(),
+            backlog: Backlog::new(),
             controller: AdaptiveAdmission::new(admission, discipline),
             journal: Journal::new(),
             last_append_start: 0,
@@ -1115,20 +1070,6 @@ impl NodeRt {
             max_queue_depth: 0,
             histogram: LatencyHistogram::new(),
         }
-    }
-
-    /// Queries routed here but not yet complete at `at_tick`, after
-    /// absorbing finished ones into the signal window.
-    fn queue_depth_at(&mut self, at_tick: u64) -> u32 {
-        while self.drained < self.completions.len() {
-            let (completion, met, _) = self.completions[self.drained];
-            if completion > at_tick {
-                break;
-            }
-            self.window.record_answered(met);
-            self.drained += 1;
-        }
-        u32::try_from(self.completions.len() - self.drained).unwrap_or(u32::MAX)
     }
 
     /// Appends a record, remembering the frame boundary for crash-time
@@ -1152,9 +1093,7 @@ impl NodeRt {
     /// trace statistics are durable and survive.
     fn wipe_memory(&mut self, admission: AdmissionConfig, discipline: AdmissionDiscipline) {
         self.horizon = 0;
-        self.completions.clear();
-        self.drained = 0;
-        self.window = SignalWindow::new();
+        self.backlog = Backlog::new();
         self.controller = AdaptiveAdmission::new(admission, discipline);
     }
 }
@@ -1272,15 +1211,8 @@ where
         .expect("a non-empty membership always routes");
     let mut view = boot_view.clone();
 
-    let cap = config.service.worker_access_cap.unwrap_or(u64::MAX);
-    let mut cores: Vec<ShardTrafficCore<'_, O>> = (0..config.shards)
-        .map(|_| ShardTrafficCore {
-            clock: TickClock::new(),
-            breaker: CircuitBreaker::new(config.service.breaker),
-            budgeted: BudgetedOracle::new(oracle, cap),
-            scratch: QueryScratch::default(),
-        })
-        .collect();
+    let mut cores: Vec<ShardCore<'_, O>> =
+        (0..config.shards).map(|_| ShardCore::new(&ctx)).collect();
     let mut nodes: Vec<NodeRt> = (0..config.nodes)
         .map(|_| NodeRt::new(config.admission, discipline))
         .collect();
@@ -1420,7 +1352,7 @@ where
             let node = &mut nodes[node_id.0];
             node.offered += 1;
             node.shed += 1;
-            node.window.record_shed();
+            node.backlog.window.record_shed();
             node.journal_append(&JournalRecord::Shed {
                 index: index as u64,
                 reason,
@@ -1454,9 +1386,9 @@ where
 
         let node = &mut nodes[node_id.0];
         node.offered += 1;
-        let depth = node.queue_depth_at(arrival.at_tick);
+        let depth = node.backlog.depth_at(arrival.at_tick);
         node.max_queue_depth = node.max_queue_depth.max(depth);
-        let signal = node.window.signal(depth);
+        let signal = node.backlog.window.signal(depth);
 
         if config.discipline.is_some() {
             let before = node.controller.state();
@@ -1469,7 +1401,7 @@ where
                 });
             }
             if let AdmissionDecision::Shed(reason) = decision {
-                node.window.record_shed();
+                node.backlog.window.record_shed();
                 node.shed += 1;
                 node.journal_append(&JournalRecord::Shed {
                     index: index as u64,
@@ -1503,30 +1435,7 @@ where
         });
 
         // Serve on the shard's placement-independent core.
-        let core = &mut cores[shard];
-        if arrival.at_tick > core.clock.now() {
-            core.clock.advance(arrival.at_tick - core.clock.now());
-        }
-        let service_start = core.clock.now();
-        core.clock.advance(config.service.dispatch_cost_ticks);
-        let faulty = FaultyOracle::new(
-            &core.budgeted,
-            FaultPlan::none(),
-            service_root.derive(FAULT_DOMAIN, index as u64),
-        );
-        let answer = serve_one(
-            &ctx,
-            &core.clock,
-            &mut core.breaker,
-            &faulty,
-            &core.budgeted,
-            &mut core.scratch,
-            shard,
-            index,
-            arrival.item,
-        )?;
-        core.clock.advance(arrival.extra_cost_ticks);
-        let service_ticks = core.clock.now() - service_start;
+        let (answer, service_ticks) = cores[shard].serve_arrival(&ctx, shard, index, arrival)?;
 
         // Charge the queueing against the hosting node's busy horizon.
         let node = &mut nodes[node_id.0];
@@ -1535,8 +1444,7 @@ where
         node.horizon = completion_tick;
         let latency_ticks = completion_tick - arrival.at_tick;
         let deadline_met = latency_ticks <= config.service.deadline_ticks;
-        node.completions
-            .push((completion_tick, deadline_met, shard));
+        node.backlog.complete(completion_tick, deadline_met, shard);
         node.answered += 1;
         if !deadline_met {
             node.missed += 1;
@@ -1663,8 +1571,7 @@ fn maybe_rebalance(
     // to shards it primaries (failover guests move by healing, not by
     // promotion). Lowest id wins ties.
     heat.fill(0);
-    let node = &nodes[from.0];
-    for &(_, _, shard) in &node.completions[node.drained..] {
+    for &(_, _, shard) in nodes[from.0].backlog.in_flight() {
         heat[shard] += 1;
     }
     let hottest = heat
@@ -1686,7 +1593,7 @@ fn maybe_rebalance(
         {
             continue;
         }
-        let depth = nodes[candidate.0].queue_depth_at(at_tick);
+        let depth = nodes[candidate.0].backlog.depth_at(at_tick);
         if target.is_none_or(|(best_depth, best)| (depth, candidate.0) < (best_depth, best.0)) {
             target = Some((depth, candidate));
         }
@@ -1771,36 +1678,10 @@ where
         chaos: None,
         cached: None,
     };
-    let cap = service.worker_access_cap.unwrap_or(u64::MAX);
-    let mut core = ShardTrafficCore {
-        clock: TickClock::new(),
-        breaker: CircuitBreaker::new(service.breaker),
-        budgeted: BudgetedOracle::new(oracle, cap),
-        scratch: QueryScratch::default(),
-    };
+    let mut core = ShardCore::new(&ctx);
     let mut answers = Vec::with_capacity(admitted.len());
     for &(index, arrival) in admitted {
-        if arrival.at_tick > core.clock.now() {
-            core.clock.advance(arrival.at_tick - core.clock.now());
-        }
-        core.clock.advance(service.dispatch_cost_ticks);
-        let faulty = FaultyOracle::new(
-            &core.budgeted,
-            FaultPlan::none(),
-            service_root.derive(FAULT_DOMAIN, index as u64),
-        );
-        let answer = serve_one(
-            &ctx,
-            &core.clock,
-            &mut core.breaker,
-            &faulty,
-            &core.budgeted,
-            &mut core.scratch,
-            shard,
-            index,
-            arrival.item,
-        )?;
-        core.clock.advance(arrival.extra_cost_ticks);
+        let (answer, _) = core.serve_arrival(&ctx, shard, index, &arrival)?;
         answers.push((index, answer));
     }
     Ok(answers)

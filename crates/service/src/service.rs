@@ -1,9 +1,10 @@
 //! The concurrent batch-serving runtime.
 //!
 //! [`serve_batch`] dispatches a batch of `LCA-KP` point queries over a
-//! pool of `std::thread` workers fed by bounded crossbeam channels, and
-//! returns one explicit disposition per query: an answer tagged with its
-//! degradation-ladder tier, or a typed load-shed rejection.
+//! pool of `std::thread` workers, each draining its own pre-admitted
+//! shard, and returns one explicit disposition per query: an answer
+//! tagged with its degradation-ladder tier, or a typed load-shed
+//! rejection.
 //!
 //! # Determinism under concurrency
 //!
@@ -14,12 +15,13 @@
 //!
 //! * **static sharding** — query `i` always runs on worker
 //!   `i mod workers`; there is no work stealing;
-//! * **pre-filled queues** — every admission decision is made by the
-//!   feeder *before* any worker starts draining, so which queries are
+//! * **pre-filled queues** — every admission decision is made by
+//!   [`admit`] *before* any worker starts draining, so which queries are
 //!   shed as [`ShedReason::QueueFull`] never races;
-//! * **worker-local state** — each worker owns its [`TickClock`],
-//!   [`CircuitBreaker`], and [`BudgetedOracle`] slice (the global cap is
-//!   split per worker), and serves its shard sequentially;
+//! * **worker-local state** — each worker owns a [`ShardCore`] (its
+//!   [`TickClock`], [`CircuitBreaker`], [`BudgetedOracle`] slice — the
+//!   global cap is split per worker — and sampling scratch), and serves
+//!   its shard sequentially;
 //! * **per-query seeds** — sampling entropy, fault streams, and backoff
 //!   jitter derive from the service root by *global batch position*, not
 //!   by arrival order;
@@ -35,6 +37,7 @@ use crate::breaker::{BreakerConfig, BreakerEvent, CircuitBreaker};
 use crate::clock::{TickClock, VirtualClock};
 use crate::deadline::{CostModel, DeadlineOracle};
 use crate::journal::{Journal, JournalRecord, RecoveryError, WorkerSnapshot};
+use crate::traffic::Arrival;
 use lcakp_core::{
     DegradationReason, LcaError, LcaKp, QueryScratch, ResponseTier, RetryPolicy, SolutionRule,
 };
@@ -46,9 +49,8 @@ use std::fmt;
 
 /// Seed domain for per-query sampling entropy.
 const QUERY_DOMAIN: &str = "service/query";
-/// Seed domain for per-query fault streams (shared with the open-loop
-/// traffic engine so an arrival's fault stream matches its batch twin).
-pub(crate) const FAULT_DOMAIN: &str = "service/fault";
+/// Seed domain for per-query fault streams.
+const FAULT_DOMAIN: &str = "service/fault";
 /// Seed domain for the cached-rule construction stream.
 const CACHE_DOMAIN: &str = "service/cache";
 
@@ -398,30 +400,7 @@ where
     assert!(config.queue_depth >= 1, "queue_depth must be at least 1");
 
     let cached = serve_batch_cached_rule(lca, oracle, shared_seed, service_root);
-
-    // Admission: fill every bounded queue before any worker runs, so
-    // queue-full sheds are a pure function of the batch.
-    let mut senders = Vec::with_capacity(config.workers);
-    let mut receivers = Vec::with_capacity(config.workers);
-    for _ in 0..config.workers {
-        let (tx, rx) = crossbeam::channel::bounded::<(usize, ItemId)>(config.queue_depth);
-        senders.push(tx);
-        receivers.push(rx);
-    }
-    let mut shed_at_admission: Vec<QueryOutcome> = Vec::new();
-    for (index, &item) in queries.iter().enumerate() {
-        let worker = index % config.workers;
-        if senders[worker].try_send((index, item)).is_err() {
-            shed_at_admission.push(QueryOutcome {
-                index,
-                item,
-                disposition: Disposition::Shed(ShedReason::QueueFull {
-                    depth: config.queue_depth,
-                }),
-            });
-        }
-    }
-    drop(senders);
+    let (shards, shed_at_admission) = admit(queries, config.workers, config.queue_depth);
 
     let shared = SharedCtx {
         lca,
@@ -434,12 +413,12 @@ where
     };
 
     let worker_results: Vec<Result<WorkerOutput, LcaError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = receivers
+        let handles: Vec<_> = shards
             .into_iter()
             .enumerate()
-            .map(|(worker, rx)| {
+            .map(|(worker, shard)| {
                 let shared = &shared;
-                scope.spawn(move || run_worker(worker, rx, shared))
+                scope.spawn(move || run_worker(worker, shard, shared))
             })
             .collect();
         handles
@@ -462,6 +441,32 @@ where
         workers,
         cached_rule_available: cached.is_some(),
     })
+}
+
+/// Admission for every closed-loop batch: query `index` goes to the
+/// bounded queue of shard `index % shards`; overflow sheds
+/// [`ShedReason::QueueFull`] before anything runs. Returns each shard's
+/// admitted `(index, item)` queue and the shed outcomes.
+pub(crate) fn admit(
+    queries: &[ItemId],
+    shards: usize,
+    queue_depth: usize,
+) -> (Vec<Vec<(usize, ItemId)>>, Vec<QueryOutcome>) {
+    let mut shard_queries: Vec<Vec<(usize, ItemId)>> = vec![Vec::new(); shards];
+    let mut shed = Vec::new();
+    for (index, &item) in queries.iter().enumerate() {
+        let shard = crate::traffic::shard_of(index, shards);
+        if shard_queries[shard].len() < queue_depth {
+            shard_queries[shard].push((index, item));
+        } else {
+            shed.push(QueryOutcome {
+                index,
+                item,
+                disposition: Disposition::Shed(ShedReason::QueueFull { depth: queue_depth }),
+            });
+        }
+    }
+    (shard_queries, shed)
 }
 
 /// Cached-rule tier: one rule per batch from its own dedicated stream
@@ -612,18 +617,13 @@ pub(crate) struct WorkerCore<'a, O> {
     worker: usize,
     queries: Vec<(usize, ItemId)>,
     journal: Journal,
-    clock: TickClock,
-    breaker: CircuitBreaker,
-    budgeted: BudgetedOracle<'a, O>,
+    core: ShardCore<'a, O>,
     position: usize,
     outcomes: Vec<QueryOutcome>,
     worst_case: u64,
     /// Bytes of the most recent committed append — the largest suffix a
     /// cluster crash may tear off the journal copy shipped to a replica.
     last_append_len: usize,
-    /// Per-worker LCA sampling workspace, reused by every query this
-    /// core serves so steady state allocates nothing per query.
-    scratch: QueryScratch,
     /// Reusable payload buffer for journal-record encoding.
     enc_payload: Vec<u8>,
     /// Recycled byte buffer for the next [`PendingStep`]; a committed
@@ -643,7 +643,6 @@ where
         queries: Vec<(usize, ItemId)>,
         ctx: &SharedCtx<'a, O>,
     ) -> Self {
-        let cap = ctx.config.worker_access_cap.unwrap_or(u64::MAX);
         let mut journal = Journal::new();
         for &(index, item) in &queries {
             journal.append(&JournalRecord::Admitted {
@@ -658,14 +657,11 @@ where
             worker,
             queries,
             journal,
-            clock: TickClock::new(),
-            breaker: CircuitBreaker::new(ctx.config.breaker),
-            budgeted: BudgetedOracle::new(ctx.oracle, cap),
+            core: ShardCore::new(ctx),
             position: 0,
             outcomes: Vec::new(),
             worst_case: ctx.lca.worst_case_accesses(),
             last_append_len: 0,
-            scratch: QueryScratch::default(),
             enc_payload: Vec::new(),
             step_bytes: Vec::new(),
         }
@@ -673,7 +669,7 @@ where
 
     /// The actor's virtual clock — the scheduler's ordering key.
     pub(crate) fn now(&self) -> u64 {
-        self.clock.now()
+        self.core.clock.now()
     }
 
     /// Whether the shard cursor has drained the shard.
@@ -700,37 +696,25 @@ where
     pub(crate) fn serve_step(&mut self, ctx: &SharedCtx<'a, O>) -> Result<PendingStep, LcaError> {
         let config = ctx.config;
         let (index, item) = self.queries[self.position];
-        self.clock.advance(config.dispatch_cost_ticks);
+        self.core.clock.advance(config.dispatch_cost_ticks);
 
         // Budget-aware pre-dispatch shedding: never start a query the
         // budget slice cannot see through.
-        let disposition =
-            if config.worker_access_cap.is_some() && self.budgeted.remaining() < self.worst_case {
-                Disposition::Shed(ShedReason::BudgetInsufficient {
-                    needed: self.worst_case,
-                    remaining: self.budgeted.remaining(),
-                })
-            } else {
-                let plan = ctx
-                    .chaos
-                    .map_or_else(FaultPlan::none, |schedule| schedule.plan_for(index));
-                let faulty = FaultyOracle::new(
-                    &self.budgeted,
-                    plan,
-                    ctx.service_root.derive(FAULT_DOMAIN, index as u64),
-                );
-                Disposition::Answered(serve_one(
-                    ctx,
-                    &self.clock,
-                    &mut self.breaker,
-                    &faulty,
-                    &self.budgeted,
-                    &mut self.scratch,
-                    self.worker,
-                    index,
-                    item,
-                )?)
-            };
+        let remaining = self.core.budgeted.remaining();
+        let disposition = if config.worker_access_cap.is_some() && remaining < self.worst_case {
+            Disposition::Shed(ShedReason::BudgetInsufficient {
+                needed: self.worst_case,
+                remaining,
+            })
+        } else {
+            let plan = ctx
+                .chaos
+                .map_or_else(FaultPlan::none, |schedule| schedule.plan_for(index));
+            Disposition::Answered(
+                self.core
+                    .serve_admitted(ctx, plan, self.worker, index, item)?,
+            )
+        };
         let record = match disposition {
             Disposition::Answered(answer) => JournalRecord::Answered {
                 index: index as u64,
@@ -752,10 +736,10 @@ where
         record.encode_into(&mut self.enc_payload, &mut bytes);
         JournalRecord::Snapshot(WorkerSnapshot {
             worker: self.worker as u64,
-            tick: self.clock.now(),
-            budget_spent: self.budgeted.used(),
+            tick: self.core.clock.now(),
+            budget_spent: self.core.budgeted.used(),
             next_position: (self.position + 1) as u64,
-            breaker: self.breaker.snapshot(),
+            breaker: self.core.breaker.snapshot(),
         })
         .encode_into(&mut self.enc_payload, &mut bytes);
         Ok(PendingStep {
@@ -790,9 +774,9 @@ where
     pub(crate) fn restore(&mut self, ctx: &SharedCtx<'a, O>) -> Result<(), RecoveryError> {
         let state = restore_worker(ctx, &mut self.journal, &self.queries)?;
         (
-            self.clock,
-            self.breaker,
-            self.budgeted,
+            self.core.clock,
+            self.core.breaker,
+            self.core.budgeted,
             self.position,
             self.outcomes,
         ) = state;
@@ -844,9 +828,9 @@ where
             outcomes,
             trace: WorkerTrace {
                 worker: self.worker,
-                end_tick: self.clock.now(),
-                accesses_used: self.budgeted.used(),
-                breaker_events: self.breaker.events().to_vec(),
+                end_tick: self.core.clock.now(),
+                accesses_used: self.core.budgeted.used(),
+                breaker_events: self.core.breaker.events().to_vec(),
                 crashes,
                 journal: self.journal,
             },
@@ -859,7 +843,7 @@ impl<O> fmt::Debug for WorkerCore<'_, O> {
         f.debug_struct("WorkerCore")
             .field("worker", &self.worker)
             .field("position", &self.position)
-            .field("tick", &self.clock.now())
+            .field("tick", &self.core.clock.now())
             .finish_non_exhaustive()
     }
 }
@@ -872,15 +856,14 @@ impl<O> fmt::Debug for WorkerCore<'_, O> {
 /// byte-identically to a worker that never died, because the snapshot
 /// restores the virtual clock and every random stream is keyed on batch
 /// position.
-fn run_worker<O>(
+pub(crate) fn run_worker<O>(
     worker: usize,
-    shard: crossbeam::channel::Receiver<(usize, ItemId)>,
+    queries: Vec<(usize, ItemId)>,
     ctx: &SharedCtx<'_, O>,
 ) -> Result<WorkerOutput, LcaError>
 where
     O: ItemOracle + WeightedSampler + Sync,
 {
-    let queries: Vec<(usize, ItemId)> = shard.iter().collect();
     let directives = ctx
         .chaos
         .map_or_else(Vec::new, |schedule| schedule.crash_directives(worker));
@@ -961,102 +944,164 @@ where
     Ok(core.into_output(crashes))
 }
 
-/// Serves one admitted query through the degradation ladder. Also the
-/// serving kernel of the open-loop traffic engine
-/// ([`crate::traffic`]), which drives it arrival-by-arrival instead of
-/// through a pre-filled shard.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn serve_one<O, F>(
-    ctx: &SharedCtx<'_, O>,
-    clock: &TickClock,
-    breaker: &mut CircuitBreaker,
-    faulty: &F,
-    budgeted: &BudgetedOracle<'_, O>,
-    scratch: &mut QueryScratch,
-    worker: usize,
-    index: usize,
-    item: ItemId,
-) -> Result<Answered, LcaError>
+/// The per-shard serving state every serving loop shares: the shard's
+/// virtual clock, circuit breaker, budget slice, and LCA sampling
+/// workspace. A worker of [`serve_batch`]'s pool (inside its
+/// [`WorkerCore`]), an open-loop shard, a traffic-driven cluster shard,
+/// and a replayed shard each own one and answer through
+/// [`serve_admitted`](ShardCore::serve_admitted), so all of them run the
+/// same degradation ladder under the same per-index seeds.
+pub(crate) struct ShardCore<'a, O> {
+    pub(crate) clock: TickClock,
+    breaker: CircuitBreaker,
+    budgeted: BudgetedOracle<'a, O>,
+    /// Reused by every query this core serves, so steady state
+    /// allocates nothing per query.
+    scratch: QueryScratch,
+}
+
+impl<'a, O> ShardCore<'a, O>
 where
     O: ItemOracle + WeightedSampler,
-    F: ItemOracle + WeightedSampler,
 {
-    let config = ctx.config;
-    let query_seed = ctx.service_root.derive(QUERY_DOMAIN, index as u64);
-    let start_tick = clock.now();
-    let deadline_tick = start_tick.saturating_add(config.deadline_ticks);
-    let budget_before = budgeted.used();
-
-    let mut attempts = 0u32;
-    let mut retries_used = 0u64;
-    let mut fallback: Option<FallbackTrigger> = None;
-    let mut full_include: Option<bool> = None;
-
-    if breaker.allow_full(clock.now()) {
-        // lcakp-lint: loop-bound(backoff-max-attempts) reason="every iteration increments attempts and only the attempts < config.backoff.max_attempts arm continues, so the body runs at most max_attempts times"
-        loop {
-            attempts += 1;
-            let guarded = DeadlineOracle::new(faulty, clock, deadline_tick, &config.cost);
-            // Every attempt replays the SAME sampling stream: a retry
-            // that succeeds is byte-identical to a fault-free first try
-            // (the fault layer never consumes this stream).
-            let mut rng = query_seed.derive("service/sampling", 0).rng();
-            let (answer, audit) =
-                ctx.lca
-                    .query_with_audit_in(&guarded, &mut rng, item, ctx.shared_seed, scratch)?;
-            retries_used += audit.retries_used;
-            let Some(reason) = audit.degraded else {
-                breaker.on_success(clock.now());
-                full_include = Some(answer.include);
-                break;
-            };
-            if reason.is_reattemptable() && attempts < config.backoff.max_attempts {
-                let delay =
-                    config
-                        .backoff
-                        .delay_ticks(ctx.service_root, index as u64, attempts - 1);
-                if clock.now().saturating_add(delay) < deadline_tick {
-                    clock.advance(delay);
-                    continue;
-                }
-            }
-            breaker.on_failure(clock.now());
-            fallback = Some(FallbackTrigger::Degraded(reason));
-            break;
+    /// A fresh core: clock at tick 0, breaker closed, nothing spent
+    /// from a `worker_access_cap`-sized budget slice.
+    pub(crate) fn new(ctx: &SharedCtx<'a, O>) -> Self {
+        let cap = ctx.config.worker_access_cap.unwrap_or(u64::MAX);
+        ShardCore {
+            clock: TickClock::new(),
+            breaker: CircuitBreaker::new(ctx.config.breaker),
+            budgeted: BudgetedOracle::new(ctx.oracle, cap),
+            scratch: QueryScratch::default(),
         }
-    } else {
-        fallback = Some(FallbackTrigger::BreakerOpen);
     }
 
-    let (include, tier) = match full_include {
-        Some(include) => (include, ResponseTier::Full),
-        None => {
-            let cached_include = ctx.cached.and_then(|rule| {
-                let guarded = DeadlineOracle::new(faulty, clock, deadline_tick, &config.cost);
-                point_query_with_retry(&guarded, item, ctx.lca.retry_policy(), &mut retries_used)
+    /// Serves one admitted open-loop arrival fault-free: idles the clock
+    /// forward to the arrival if the shard was free, charges the
+    /// dispatch cost, runs the ladder, then charges the arrival's extra
+    /// service cost. Returns the answer and the service ticks from
+    /// dispatch to completion.
+    pub(crate) fn serve_arrival(
+        &mut self,
+        ctx: &SharedCtx<'_, O>,
+        shard: usize,
+        index: usize,
+        arrival: &Arrival,
+    ) -> Result<(Answered, u64), LcaError> {
+        if arrival.at_tick > self.clock.now() {
+            self.clock.advance(arrival.at_tick - self.clock.now());
+        }
+        let service_start = self.clock.now();
+        self.clock.advance(ctx.config.dispatch_cost_ticks);
+        let answer = self.serve_admitted(ctx, FaultPlan::none(), shard, index, arrival.item)?;
+        self.clock.advance(arrival.extra_cost_ticks);
+        Ok((answer, self.clock.now() - service_start))
+    }
+
+    /// Serves one admitted query through the degradation ladder, with
+    /// `plan`'s faults injected on the query's own fault stream (keyed
+    /// on `index`). The clock must already include the dispatch cost.
+    pub(crate) fn serve_admitted(
+        &mut self,
+        ctx: &SharedCtx<'_, O>,
+        plan: FaultPlan,
+        worker: usize,
+        index: usize,
+        item: ItemId,
+    ) -> Result<Answered, LcaError> {
+        let faulty = FaultyOracle::new(
+            &self.budgeted,
+            plan,
+            ctx.service_root.derive(FAULT_DOMAIN, index as u64),
+        );
+        let config = ctx.config;
+        let query_seed = ctx.service_root.derive(QUERY_DOMAIN, index as u64);
+        let start_tick = self.clock.now();
+        let deadline_tick = start_tick.saturating_add(config.deadline_ticks);
+        let budget_before = self.budgeted.used();
+
+        let mut attempts = 0u32;
+        let mut retries_used = 0u64;
+        let mut fallback: Option<FallbackTrigger> = None;
+        let mut full_include: Option<bool> = None;
+
+        if self.breaker.allow_full(self.clock.now()) {
+            // lcakp-lint: loop-bound(backoff-max-attempts) reason="every iteration increments attempts and only the attempts < config.backoff.max_attempts arm continues, so the body runs at most max_attempts times"
+            loop {
+                attempts += 1;
+                let guarded =
+                    DeadlineOracle::new(&faulty, &self.clock, deadline_tick, &config.cost);
+                // Every attempt replays the SAME sampling stream: a retry
+                // that succeeds is byte-identical to a fault-free first try
+                // (the fault layer never consumes this stream).
+                let mut rng = query_seed.derive("service/sampling", 0).rng();
+                let (answer, audit) = ctx.lca.query_with_audit_in(
+                    &guarded,
+                    &mut rng,
+                    item,
+                    ctx.shared_seed,
+                    &mut self.scratch,
+                )?;
+                retries_used += audit.retries_used;
+                let Some(reason) = audit.degraded else {
+                    self.breaker.on_success(self.clock.now());
+                    full_include = Some(answer.include);
+                    break;
+                };
+                if reason.is_reattemptable() && attempts < config.backoff.max_attempts {
+                    let delay =
+                        config
+                            .backoff
+                            .delay_ticks(ctx.service_root, index as u64, attempts - 1);
+                    if self.clock.now().saturating_add(delay) < deadline_tick {
+                        self.clock.advance(delay);
+                        continue;
+                    }
+                }
+                self.breaker.on_failure(self.clock.now());
+                fallback = Some(FallbackTrigger::Degraded(reason));
+                break;
+            }
+        } else {
+            fallback = Some(FallbackTrigger::BreakerOpen);
+        }
+
+        let (include, tier) = match full_include {
+            Some(include) => (include, ResponseTier::Full),
+            None => {
+                let cached_include = ctx.cached.and_then(|rule| {
+                    let guarded =
+                        DeadlineOracle::new(&faulty, &self.clock, deadline_tick, &config.cost);
+                    point_query_with_retry(
+                        &guarded,
+                        item,
+                        ctx.lca.retry_policy(),
+                        &mut retries_used,
+                    )
                     .ok()
                     .map(|queried| rule.decide(guarded.norms(), item, queried).include)
-            });
-            match cached_include {
-                Some(include) => (include, ResponseTier::CachedRule),
-                None => (false, ResponseTier::Trivial),
+                });
+                match cached_include {
+                    Some(include) => (include, ResponseTier::CachedRule),
+                    None => (false, ResponseTier::Trivial),
+                }
             }
-        }
-    };
+        };
 
-    let end_tick = clock.now();
-    Ok(Answered {
-        include,
-        tier,
-        fallback,
-        attempts,
-        retries_used,
-        accesses: budgeted.used() - budget_before,
-        start_tick,
-        end_tick,
-        deadline_met: end_tick <= deadline_tick,
-        worker,
-    })
+        let end_tick = self.clock.now();
+        Ok(Answered {
+            include,
+            tier,
+            fallback,
+            attempts,
+            retries_used,
+            accesses: self.budgeted.used() - budget_before,
+            start_tick,
+            end_tick,
+            deadline_met: end_tick <= deadline_tick,
+            worker,
+        })
+    }
 }
 
 /// One point query with the LCA's access-level transient-retry

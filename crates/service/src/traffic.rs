@@ -45,13 +45,12 @@ use crate::admission::{
     AdaptiveAdmission, AdmissionConfig, AdmissionDecision, AdmissionDiscipline, AdmissionState,
     ShedReason,
 };
-use crate::breaker::CircuitBreaker;
-use crate::clock::{TickClock, VirtualClock};
-use crate::service::{serve_one, Answered, ServiceConfig, SharedCtx, FAULT_DOMAIN};
+use crate::clock::VirtualClock;
+use crate::service::{Answered, ServiceConfig, ShardCore, SharedCtx};
 use crate::slo::{LatencyHistogram, SignalWindow, SloReport};
-use lcakp_core::{LcaError, LcaKp, QueryScratch};
+use lcakp_core::{LcaError, LcaKp};
 use lcakp_knapsack::ItemId;
-use lcakp_oracle::{BudgetedOracle, FaultPlan, FaultyOracle, ItemOracle, Seed, WeightedSampler};
+use lcakp_oracle::{ItemOracle, Seed, WeightedSampler};
 use rand::Rng;
 use std::fmt;
 
@@ -344,38 +343,50 @@ impl OpenLoopReport {
     }
 }
 
-/// One shard's live serving state. The shard clock doubles as the
-/// server-busy horizon: it sits at the completion tick of the last
-/// served query, and idles forward to the next arrival when the queue
-/// drains.
-struct ShardServer<'a, O> {
-    clock: TickClock,
-    breaker: CircuitBreaker,
-    budgeted: BudgetedOracle<'a, O>,
-    scratch: QueryScratch,
-    controller: AdaptiveAdmission,
-    window: SignalWindow,
-    /// `(completion_tick, deadline_met)` of every admitted query, in
-    /// service order; entries at or before the current arrival tick are
-    /// drained into the signal window.
-    completions: Vec<(u64, bool)>,
+/// The queries admitted to one server — an open-loop shard or a
+/// cluster node — that virtual time has not yet passed: completions at
+/// or before an arrival's tick fold into the server's signal window.
+pub(crate) struct Backlog {
+    /// `(completion_tick, deadline_met, shard)` of every admitted query,
+    /// in completion order.
+    completions: Vec<(u64, bool, usize)>,
     /// How many `completions` entries the window has absorbed.
     drained: usize,
+    pub(crate) window: SignalWindow,
 }
 
-impl<'a, O> ShardServer<'a, O> {
+impl Backlog {
+    pub(crate) fn new() -> Backlog {
+        Backlog {
+            completions: Vec::new(),
+            drained: 0,
+            window: SignalWindow::new(),
+        }
+    }
+
     /// Queries admitted but not yet complete at `at_tick`, after
     /// absorbing finished ones into the signal window.
-    fn queue_depth_at(&mut self, at_tick: u64) -> u32 {
+    pub(crate) fn depth_at(&mut self, at_tick: u64) -> u32 {
         while self.drained < self.completions.len() {
-            let (completion, met) = self.completions[self.drained];
+            let (completion, met, _) = self.completions[self.drained];
             if completion > at_tick {
                 break;
             }
             self.window.record_answered(met);
             self.drained += 1;
         }
-        u32::try_from(self.completions.len() - self.drained).unwrap_or(u32::MAX)
+        u32::try_from(self.in_flight().len()).unwrap_or(u32::MAX)
+    }
+
+    /// Records an admitted query's completion.
+    pub(crate) fn complete(&mut self, completion_tick: u64, deadline_met: bool, shard: usize) {
+        self.completions
+            .push((completion_tick, deadline_met, shard));
+    }
+
+    /// The completions the window has not absorbed yet.
+    pub(crate) fn in_flight(&self) -> &[(u64, bool, usize)] {
+        &self.completions[self.drained..]
     }
 }
 
@@ -386,10 +397,15 @@ impl<'a, O> ShardServer<'a, O> {
 /// shard's signal window; the controller decides on the current
 /// [`LoadSignal`](crate::slo::LoadSignal); an admitted query idles the
 /// shard clock forward to its arrival (if the server was free), then
-/// runs the full degradation ladder of
-/// [`serve_batch`](crate::service::serve_batch)'s serving kernel under
-/// the same per-index seed derivations — so an open-loop answer is
-/// byte-identical to the batch answer for the same index.
+/// runs the degradation ladder every serving loop shares, under the same
+/// per-index seed derivations.
+///
+/// Only a shard's admitted arrivals drive its serving core, so each
+/// shard's answers are byte-identical to
+/// [`replay_shard_traffic`](crate::cluster::replay_shard_traffic) over
+/// that shard's admitted subsequence. They are *not* byte-identical to
+/// the [`serve_batch`](crate::service::serve_batch) answer for the same
+/// index: the answering `worker` and the clock ticks differ.
 pub fn run_open_loop<O>(
     lca: &LcaKp,
     oracle: &O,
@@ -411,22 +427,14 @@ where
         chaos: None,
         cached: None,
     };
-    let cap = config.service.worker_access_cap.unwrap_or(u64::MAX);
-    let mut servers: Vec<ShardServer<'_, O>> = (0..shards)
-        .map(|_| ShardServer {
-            clock: TickClock::new(),
-            breaker: CircuitBreaker::new(config.service.breaker),
-            budgeted: BudgetedOracle::new(oracle, cap),
-            scratch: QueryScratch::default(),
-            controller: AdaptiveAdmission::new(
-                config.admission,
-                config.discipline.unwrap_or_default(),
-            ),
-            window: SignalWindow::new(),
-            completions: Vec::new(),
-            drained: 0,
-        })
+    // The shard clock doubles as the server-busy horizon: it sits at the
+    // completion tick of the last served query, and idles forward to the
+    // next arrival when the queue drains.
+    let mut cores: Vec<ShardCore<'_, O>> = (0..shards).map(|_| ShardCore::new(&ctx)).collect();
+    let mut controllers: Vec<AdaptiveAdmission> = (0..shards)
+        .map(|_| AdaptiveAdmission::new(config.admission, config.discipline.unwrap_or_default()))
         .collect();
+    let mut backlogs: Vec<Backlog> = (0..shards).map(|_| Backlog::new()).collect();
 
     let mut outcomes = Vec::with_capacity(arrivals.len());
     let mut transitions = Vec::new();
@@ -438,24 +446,25 @@ where
 
     for (index, arrival) in arrivals.iter().enumerate() {
         let shard = arrival.shard.min(shards - 1);
-        let server = &mut servers[shard];
+        let backlog = &mut backlogs[shard];
 
-        let depth = server.queue_depth_at(arrival.at_tick);
+        let depth = backlog.depth_at(arrival.at_tick);
         max_queue_depth = max_queue_depth.max(depth);
 
         if config.discipline.is_some() {
-            let signal = server.window.signal(depth);
-            let before = server.controller.state();
-            let decision = server.controller.decide(arrival.at_tick, signal);
-            if server.controller.state() != before {
+            let controller = &mut controllers[shard];
+            let signal = backlog.window.signal(depth);
+            let before = controller.state();
+            let decision = controller.decide(arrival.at_tick, signal);
+            if controller.state() != before {
                 transitions.push(AdmissionTransition {
                     shard,
                     at_tick: arrival.at_tick,
-                    to: server.controller.state(),
+                    to: controller.state(),
                 });
             }
             if let AdmissionDecision::Shed(reason) = decision {
-                server.window.record_shed();
+                backlog.window.record_shed();
                 shed_count += 1;
                 outcomes.push(TrafficOutcome {
                     index,
@@ -468,33 +477,11 @@ where
             }
         }
 
-        // Idle the server forward to the arrival if the queue is empty.
-        if arrival.at_tick > server.clock.now() {
-            server.clock.advance(arrival.at_tick - server.clock.now());
-        }
-        server.clock.advance(config.service.dispatch_cost_ticks);
-        let faulty = FaultyOracle::new(
-            &server.budgeted,
-            FaultPlan::none(),
-            service_root.derive(FAULT_DOMAIN, index as u64),
-        );
-        let answer = serve_one(
-            &ctx,
-            &server.clock,
-            &mut server.breaker,
-            &faulty,
-            &server.budgeted,
-            &mut server.scratch,
-            shard,
-            index,
-            arrival.item,
-        )?;
-        server.clock.advance(arrival.extra_cost_ticks);
-
-        let completion_tick = server.clock.now();
+        let (answer, _) = cores[shard].serve_arrival(&ctx, shard, index, arrival)?;
+        let completion_tick = cores[shard].clock.now();
         let latency_ticks = completion_tick - arrival.at_tick;
         let deadline_met = latency_ticks <= config.service.deadline_ticks;
-        server.completions.push((completion_tick, deadline_met));
+        backlog.complete(completion_tick, deadline_met, shard);
         histogram.record(latency_ticks);
         answered_count += 1;
         if !deadline_met {
@@ -514,7 +501,7 @@ where
         });
     }
 
-    let end_tick = servers.iter().map(|s| s.clock.now()).max().unwrap_or(0);
+    let end_tick = cores.iter().map(|core| core.clock.now()).max().unwrap_or(0);
     Ok(OpenLoopReport {
         outcomes,
         transitions,

@@ -1,8 +1,8 @@
-//! Integration tests for the workspace extensions: the simulated serving
-//! cluster (the paper's distributed deployment story) and the
-//! average-case rejection-sampling access mode (Section 5 / [BCPR24]).
+//! Integration tests for the average-case rejection-sampling access
+//! mode (Section 5 / [BCPR24]). The serving-fleet test of the paper's
+//! distributed deployment story lives with the serving runtime, in
+//! `crates/service/tests/serving_engines.rs`.
 
-use lca_knapsack::lca::cluster::{serve_queries, ClusterConfig};
 use lca_knapsack::lca::solution_audit::{audit_selection, exact_optimum};
 use lca_knapsack::oracle::RejectionSamplingOracle;
 use lca_knapsack::prelude::*;
@@ -13,49 +13,6 @@ fn fast_lca(eps: Epsilon) -> LcaKp {
     LcaKp::new(eps)
         .unwrap()
         .with_budget(SampleBudget::Calibrated { factor: 0.01 })
-}
-
-/// An 8-worker fleet serving every item produces one feasible solution
-/// whose quality matches a sequential assembly.
-#[test]
-fn cluster_fleet_serves_a_feasible_solution() {
-    let n = 120;
-    let spec = WorkloadSpec::new(
-        Family::LargeDominated {
-            heavy: 4,
-            heavy_profit: 6_000,
-        },
-        n,
-        21,
-    );
-    let norm = spec.generate_normalized().unwrap();
-    let oracle = InstanceOracle::new(&norm);
-    let eps = Epsilon::new(1, 3).unwrap();
-    let lca = fast_lca(eps);
-    let seed = Seed::from_entropy_u64(22);
-    let queries: Vec<ItemId> = (0..n).map(ItemId).collect();
-    let run = serve_queries(
-        &lca,
-        &oracle,
-        &seed,
-        &queries,
-        ClusterConfig {
-            workers: 8,
-            queue_depth: 16,
-            entropy_root: 23,
-        },
-    )
-    .unwrap();
-    assert_eq!(run.answers.len(), n);
-    let selection = run.to_selection(n);
-    assert!(selection.is_feasible(norm.as_instance()));
-
-    let optimum = exact_optimum(&norm).unwrap();
-    let audit = audit_selection(&norm, &selection, optimum);
-    assert!(
-        audit.satisfies_theorem(eps),
-        "fleet solution misses the bound: {audit}"
-    );
 }
 
 /// LCA-KP runs unmodified on top of rejection sampling, and on a benign
